@@ -6,6 +6,8 @@
 //! nemesis suite. These are the paths the PR 2 scheduler overhaul
 //! (timer wheel + zero-copy broadcast) optimizes; `sweep --baseline`
 //! snapshots the same workloads into `BENCH_PR2.json` for regression.
+//! `e12_payload` measures what the protocols carry through that loop:
+//! `Batch` clone/digest/wire-size and whole PBFT/Raft runs over batches.
 //!
 //! Set `E12_SMOKE=1` to run every workload once with a minimal budget
 //! (the CI bench-smoke job): catches scheduler regressions that crash,
@@ -16,8 +18,11 @@ use pbc_bench::simcore::{
     broadcast_flood, cancel_churn, chaos_run, chaos_storm, chaos_storm_par, consensus_run, Proto,
 };
 use pbc_bench::{fmt_u64, header};
+use pbc_consensus::Payload;
+use pbc_core::Batch;
+use pbc_sim::NetworkConfig;
 use pbc_txn::DependencyGraph;
-use pbc_workload::SmallBankWorkload;
+use pbc_workload::{PaymentWorkload, SmallBankWorkload};
 
 fn smoke() -> bool {
     std::env::var("E12_SMOKE").is_ok_and(|v| v == "1")
@@ -169,6 +174,67 @@ fn bench_depgraph(c: &mut Criterion) {
     g.finish();
 }
 
+/// Orders `batches` on a fresh `proto` cluster, four in flight, and
+/// returns the simulator events it took.
+fn order_batches(proto: &str, n: usize, batches: &[Batch]) -> u64 {
+    let cfg = NetworkConfig { seed: 0xBA5E, ..Default::default() };
+    let mut c = pbc_consensus::cluster::<Batch>(proto, n, cfg).expect("registered protocol");
+    c.run_until_time(100_000); // Raft elects its leader first
+    for (i, batch) in batches.iter().enumerate() {
+        c.submit(batch.clone());
+        if (i + 1) % 4 == 0 || i + 1 == batches.len() {
+            assert!(c.run_until_decided(i + 1, 2_000_000), "{proto} stalled at batch {i}");
+        }
+    }
+    c.stats().msgs_delivered + c.stats().timers_fired
+}
+
+fn bench_payload(c: &mut Criterion) {
+    header(
+        "E12h: the consensus payload (Batch)",
+        "clone is a reference-count bump; digest and wire size are computed once per batch, \
+         so ordering cost does not grow with payload size or log length",
+    );
+    let w = PaymentWorkload::default();
+    let mut g = c.benchmark_group("e12_payload");
+    g.sample_size(if smoke() { 1 } else { 30 });
+    for size in [8usize, 32, 128] {
+        let txs = w.generate(0, size);
+        let batch = Batch::new(0, txs.clone());
+        batch.digest_u64();
+        g.bench_function(BenchmarkId::new("clone", size), |b| b.iter(|| batch.clone()));
+        g.bench_function(BenchmarkId::new("repeated_digest", size), |b| {
+            b.iter(|| batch.digest_u64())
+        });
+        g.bench_function(BenchmarkId::new("wire_size", size), |b| b.iter(|| batch.wire_size()));
+        // The first digest needs a batch nobody has hashed yet; the cost
+        // of building one is the row above it.
+        g.bench_function(BenchmarkId::new("build", size), |b| {
+            b.iter(|| Batch::new(1, txs.clone()))
+        });
+        g.bench_function(BenchmarkId::new("build_and_first_digest", size), |b| {
+            b.iter(|| Batch::new(1, txs.clone()).digest_u64())
+        });
+    }
+    let decided = if smoke() { 20 } else { 400 };
+    let batches: Vec<Batch> = (0..decided).map(|i| Batch::new(i, w.generate(i * 32, 32))).collect();
+    g.sample_size(if smoke() { 1 } else { 10 });
+    for (proto, n) in [("pbft", 4usize), ("raft", 3)] {
+        let start = std::time::Instant::now();
+        let events = order_batches(proto, n, &batches);
+        let per_s = events as f64 / start.elapsed().as_secs_f64();
+        println!(
+            "   {proto}/n{n}: {} events for {decided} batches, {} events/s",
+            fmt_u64(events),
+            fmt_u64(per_s as u64)
+        );
+        g.bench_function(BenchmarkId::new(proto, decided), |b| {
+            b.iter(|| order_batches(proto, n, &batches))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     e12,
     bench_consensus,
@@ -177,6 +243,7 @@ criterion_group!(
     bench_churn,
     bench_cancel_churn,
     bench_storm_lanes,
-    bench_depgraph
+    bench_depgraph,
+    bench_payload
 );
 criterion_main!(e12);

@@ -962,6 +962,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn drive(proto: &str, n: usize, requests: u64) -> Box<dyn OrderingCluster<u64>> {
         let cfg = NetworkConfig { seed: 0x0D0E, ..Default::default() };
@@ -985,6 +987,54 @@ mod tests {
                 let log: Vec<u64> = c.decided(i).iter().map(|(_, p, _)| *p).collect();
                 assert_eq!(log, reference, "{} node {i} diverged", info.name);
             }
+        }
+    }
+
+    /// A payload that counts, on a counter shared by all its clones, how
+    /// often anyone asks for its digest.
+    #[derive(Clone, Debug)]
+    struct Counted {
+        id: u64,
+        digest_calls: Arc<AtomicU64>,
+    }
+
+    impl PartialEq for Counted {
+        fn eq(&self, other: &Self) -> bool {
+            self.id == other.id
+        }
+    }
+
+    impl Payload for Counted {
+        fn digest_u64(&self) -> u64 {
+            self.digest_calls.fetch_add(1, Ordering::Relaxed);
+            self.id.digest_u64()
+        }
+    }
+
+    #[test]
+    fn digest_calls_per_request_do_not_grow_with_the_log() {
+        // A replica may hash a payload twice: when the request arrives
+        // and when the proposal carrying it arrives — never per vote, and
+        // never again for requests it saw earlier. (Raft used to rescan
+        // its whole request buffer: about requests² · (n-1) / 2 calls.)
+        const REQUESTS: u64 = 400;
+        const WINDOW: u64 = 4;
+        for (proto, n) in [("raft", 3usize), ("pbft", 4)] {
+            let digest_calls = Arc::new(AtomicU64::new(0));
+            let cfg = NetworkConfig { seed: 0xC0_0817, ..Default::default() };
+            let mut c = cluster::<Counted>(proto, n, cfg).expect("registered protocol");
+            c.run_until_time(100_000); // Raft elects its leader first
+            for r in 0..REQUESTS {
+                c.submit(Counted { id: r, digest_calls: digest_calls.clone() });
+                if (r + 1) % WINDOW == 0 {
+                    assert!(c.run_until_decided(r as usize + 1, 2_000_000), "{proto} stalled");
+                }
+            }
+            let calls = digest_calls.load(Ordering::Relaxed);
+            assert!(
+                calls <= 2 * REQUESTS * n as u64,
+                "{proto}: {calls} digest calls for {REQUESTS} requests on {n} replicas"
+            );
         }
     }
 

@@ -367,9 +367,12 @@ impl<P: Payload> PbftReplica<P> {
         if slot.decided {
             return;
         }
-        let Some((view, digest, payload)) = slot.accepted.clone() else {
+        // Votes only need the accepted `(view, digest)`; the payload is
+        // cloned once, when the slot decides.
+        let Some((view, digest, payload)) = slot.accepted.as_ref() else {
             return;
         };
+        let (view, digest) = (*view, *digest);
         let prepared = slot.prepares.get(&(view, digest)).is_some_and(|s| s.len() >= q);
         if prepared && !slot.sent_commit {
             slot.sent_commit = true;
@@ -379,6 +382,7 @@ impl<P: Payload> PbftReplica<P> {
         let committed = slot.commits.get(&(view, digest)).is_some_and(|s| s.len() >= q);
         if committed {
             slot.decided = true;
+            let payload = payload.clone();
             self.pending.remove(&digest);
             self.delivered_digests.insert(digest);
             hooks::commit("pbft", ctx.self_id, ctx.now, seq, digest);
@@ -527,12 +531,10 @@ impl<P: Payload> Actor for PbftReplica<P> {
                 // watermark signals a straggler: assist with our decided
                 // slots (PBFT's checkpoint/state transfer, simplified to
                 // f+1 matching assertions).
-                if *delivered < self.log.next_seq() {
-                    for (seq, payload, _) in self.log.delivered().to_vec() {
-                        if seq >= *delivered {
-                            ctx.send(from, PbftMsg::Decided { seq, payload });
-                        }
-                    }
+                let decided = self.log.delivered();
+                let behind = decided.partition_point(|(seq, _, _)| seq < delivered);
+                for (seq, payload, _) in &decided[behind..] {
+                    ctx.send(from, PbftMsg::Decided { seq: *seq, payload: payload.clone() });
                 }
                 if *new_view < self.view {
                     return;

@@ -12,7 +12,7 @@ use crate::common::{hooks, quorum, DecidedLog, Payload};
 use pbc_sim::{Actor, Context, Durable, Message, NodeIdx, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Raft wire messages.
 #[derive(Clone, Debug)]
@@ -113,6 +113,56 @@ impl RaftConfig {
     }
 }
 
+/// A log entry with the payload digest taken once, when it was appended.
+#[derive(Debug)]
+struct LogEntry<P> {
+    term: u64,
+    digest: u64,
+    payload: P,
+}
+
+impl<P: Payload> LogEntry<P> {
+    fn new(term: u64, payload: P) -> Self {
+        LogEntry { term, digest: payload.digest_u64(), payload }
+    }
+}
+
+/// Client requests buffered by a non-leader: unique by digest, adopted
+/// in arrival order.
+#[derive(Debug)]
+struct PendingRequests<P> {
+    by_arrival: BTreeMap<u64, P>,
+    arrival_of: HashMap<u64, u64>,
+    next_arrival: u64,
+}
+
+impl<P> PendingRequests<P> {
+    fn new() -> Self {
+        PendingRequests { by_arrival: BTreeMap::new(), arrival_of: HashMap::new(), next_arrival: 0 }
+    }
+
+    /// Buffers `payload` unless a request with this digest is waiting.
+    fn insert(&mut self, digest: u64, payload: P) {
+        if let std::collections::hash_map::Entry::Vacant(slot) = self.arrival_of.entry(digest) {
+            slot.insert(self.next_arrival);
+            self.by_arrival.insert(self.next_arrival, payload);
+            self.next_arrival += 1;
+        }
+    }
+
+    fn remove(&mut self, digest: u64) {
+        if let Some(arrival) = self.arrival_of.remove(&digest) {
+            self.by_arrival.remove(&arrival);
+        }
+    }
+
+    /// Empties the buffer, yielding the requests in arrival order.
+    fn take(&mut self) -> impl Iterator<Item = P> {
+        self.arrival_of.clear();
+        std::mem::take(&mut self.by_arrival).into_values()
+    }
+}
+
 /// One Raft node.
 #[derive(Debug)]
 pub struct RaftNode<P> {
@@ -122,7 +172,7 @@ pub struct RaftNode<P> {
     voted_for: Option<NodeIdx>,
     role: Role,
     /// 1-indexed log; index 0 is a sentinel.
-    log_entries: Vec<(u64, P)>,
+    log_entries: Vec<LogEntry<P>>,
     log_digests: HashSet<u64>,
     commit_index: u64,
     last_applied: u64,
@@ -130,8 +180,10 @@ pub struct RaftNode<P> {
     next_index: Vec<u64>,
     match_index: Vec<u64>,
     votes: HashSet<NodeIdx>,
-    /// Requests waiting for a leader.
-    pending: Vec<P>,
+    /// Requests waiting for a leader. An entry leaves when it is
+    /// *applied*, not when it is appended: an appended entry can still be
+    /// truncated by a conflicting leader and must then be re-proposable.
+    pending: PendingRequests<P>,
     last_heartbeat: SimTime,
     election_epoch: u64,
     rng: StdRng,
@@ -157,7 +209,7 @@ impl<P: Payload> RaftNode<P> {
             next_index: vec![1; cfg.n],
             match_index: vec![0; cfg.n],
             votes: HashSet::new(),
-            pending: Vec::new(),
+            pending: PendingRequests::new(),
             last_heartbeat: 0,
             election_epoch: 0,
             rng,
@@ -182,14 +234,14 @@ impl<P: Payload> RaftNode<P> {
     }
 
     fn last_log_term(&self) -> u64 {
-        self.log_entries.last().map_or(0, |(t, _)| *t)
+        self.log_entries.last().map_or(0, |e| e.term)
     }
 
     fn term_at(&self, index: u64) -> u64 {
         if index == 0 {
             0
         } else {
-            self.log_entries.get(index as usize - 1).map_or(0, |(t, _)| *t)
+            self.log_entries.get(index as usize - 1).map_or(0, |e| e.term)
         }
     }
 
@@ -235,9 +287,9 @@ impl<P: Payload> RaftNode<P> {
         self.next_index = vec![self.last_log_index() + 1; self.cfg.n];
         self.match_index = vec![0; self.cfg.n];
         self.match_index[self.id] = self.last_log_index();
-        // Adopt buffered client requests.
-        let pending = std::mem::take(&mut self.pending);
-        for p in pending {
+        // Adopt buffered client requests (those still in the log are
+        // filtered by `append_if_new`).
+        for p in self.pending.take() {
             self.append_if_new(p);
         }
         self.replicate_all(ctx);
@@ -245,11 +297,18 @@ impl<P: Payload> RaftNode<P> {
     }
 
     fn append_if_new(&mut self, p: P) {
-        let d = p.digest_u64();
-        if self.log_digests.insert(d) {
-            self.log_entries.push((self.term, p));
+        let entry = LogEntry::new(self.term, p);
+        if self.log_digests.insert(entry.digest) {
+            self.log_entries.push(entry);
             self.match_index[self.id] = self.last_log_index();
         }
+    }
+
+    /// Appends a leader's entry as a follower.
+    fn push_entry(&mut self, term: u64, payload: P) {
+        let entry = LogEntry::new(term, payload);
+        self.log_digests.insert(entry.digest);
+        self.log_entries.push(entry);
     }
 
     fn replicate_all(&mut self, ctx: &mut Context<RaftMsg<P>>) {
@@ -260,8 +319,12 @@ impl<P: Payload> RaftNode<P> {
             let next = self.next_index[peer];
             let prev_index = next - 1;
             let prev_term = self.term_at(prev_index);
-            let entries: Vec<(u64, P)> =
-                self.log_entries.iter().skip(prev_index as usize).cloned().collect();
+            let entries: Vec<(u64, P)> = self
+                .log_entries
+                .iter()
+                .skip(prev_index as usize)
+                .map(|e| (e.term, e.payload.clone()))
+                .collect();
             ctx.send(
                 peer,
                 RaftMsg::AppendEntries {
@@ -293,9 +356,10 @@ impl<P: Payload> RaftNode<P> {
     fn apply_committed(&mut self, now: SimTime) {
         while self.last_applied < self.commit_index {
             self.last_applied += 1;
-            let (_, p) = &self.log_entries[self.last_applied as usize - 1];
-            hooks::commit("raft", self.id, now, self.last_applied - 1, p.digest_u64());
-            self.log.decide(self.last_applied - 1, p.clone(), now);
+            let e = &self.log_entries[self.last_applied as usize - 1];
+            self.pending.remove(e.digest);
+            hooks::commit("raft", self.id, now, self.last_applied - 1, e.digest);
+            self.log.decide(self.last_applied - 1, e.payload.clone(), now);
         }
     }
 }
@@ -326,10 +390,11 @@ impl<P: Payload> Actor for RaftNode<P> {
                 if self.role == Role::Leader {
                     self.append_if_new(p.clone());
                     self.replicate_all(ctx);
-                } else if !self.log_digests.contains(&p.digest_u64())
-                    && !self.pending.iter().any(|q| q.digest_u64() == p.digest_u64())
-                {
-                    self.pending.push(p.clone());
+                } else {
+                    let digest = p.digest_u64();
+                    if !self.log_digests.contains(&digest) {
+                        self.pending.insert(digest, p.clone());
+                    }
                 }
             }
             RaftMsg::RequestVote { term, last_log_index, last_log_term } => {
@@ -388,15 +453,13 @@ impl<P: Payload> Actor for RaftNode<P> {
                     idx += 1;
                     if idx <= self.last_log_index() {
                         if self.term_at(idx) != *eterm {
-                            for (_, p) in self.log_entries.drain(idx as usize - 1..) {
-                                self.log_digests.remove(&p.digest_u64());
+                            for e in self.log_entries.drain(idx as usize - 1..) {
+                                self.log_digests.remove(&e.digest);
                             }
-                            self.log_digests.insert(payload.digest_u64());
-                            self.log_entries.push((*eterm, payload.clone()));
+                            self.push_entry(*eterm, payload.clone());
                         }
                     } else {
-                        self.log_digests.insert(payload.digest_u64());
-                        self.log_entries.push((*eterm, payload.clone()));
+                        self.push_entry(*eterm, payload.clone());
                     }
                 }
                 if *leader_commit > self.commit_index {
@@ -473,7 +536,7 @@ impl<P: crate::common::PersistPayload> Durable for RaftNode<P> {
         RaftStable {
             term: self.term,
             voted_for: self.voted_for,
-            log_entries: self.log_entries.clone(),
+            log_entries: self.log_entries.iter().map(|e| (e.term, e.payload.clone())).collect(),
         }
     }
 
@@ -481,8 +544,9 @@ impl<P: crate::common::PersistPayload> Durable for RaftNode<P> {
         let mut node = RaftNode::new(crashed.cfg.clone(), crashed.id);
         node.term = stable.term;
         node.voted_for = stable.voted_for;
-        node.log_digests = stable.log_entries.iter().map(|(_, p)| p.digest_u64()).collect();
-        node.log_entries = stable.log_entries;
+        for (term, payload) in stable.log_entries {
+            node.push_entry(term, payload);
+        }
         // commit_index/last_applied restart at 0 (volatile, per the
         // paper); the next AppendEntries re-teaches the commit point and
         // the decided log re-fills identically from the same entries.
@@ -744,6 +808,74 @@ mod tests {
             let log: Vec<u64> = net.actor(i).log.delivered().iter().map(|(_, p, _)| *p).collect();
             assert_eq!(log, vec![42], "node {i}");
         }
+    }
+
+    #[test]
+    fn follower_request_buffer_stays_within_the_inflight_window() {
+        const WINDOW: u64 = 4;
+        let mut net = cluster(3, 8);
+        net.run_until(100_000);
+        let mut widest = 0;
+        for first in (0..400u64).step_by(WINDOW as usize) {
+            for p in first..first + WINDOW {
+                submit(&mut net, p);
+            }
+            let target = (first + WINDOW) as usize;
+            while (0..3).any(|i| net.actor(i).log.len() < target) {
+                assert!(net.step(), "stalled below {target} decisions");
+                for i in 0..3 {
+                    let pending = &net.actor(i).pending;
+                    assert_eq!(pending.by_arrival.len(), pending.arrival_of.len());
+                    widest = widest.max(pending.by_arrival.len());
+                }
+            }
+        }
+        assert!((1..=WINDOW as usize).contains(&widest), "widest buffer: {widest}");
+        for i in 0..3 {
+            assert!(net.actor(i).pending.by_arrival.is_empty(), "node {i} drained on apply");
+        }
+    }
+
+    /// Why the buffer drains on *apply*, not on append: an appended entry
+    /// can still be truncated, and only the buffered copy lets the
+    /// follower re-propose it when it becomes leader.
+    #[test]
+    fn truncated_request_is_reproposed_once_by_the_follower_that_buffered_it() {
+        let append = |term, payload| RaftMsg::AppendEntries {
+            term,
+            prev_index: 0,
+            prev_term: 0,
+            entries: vec![(term, payload)],
+            leader_commit: 0,
+        };
+        let mut f = RaftNode::<u64>::new(RaftConfig::new(3), 2);
+        let mut ctx = Context::standalone(0, 2, 3);
+        f.on_start(&mut ctx);
+        f.on_message(0, &RaftMsg::Request(7), &mut ctx);
+        // Leader A (node 0, term 1) replicates 7 but never commits it.
+        f.on_message(0, &append(1, 7), &mut ctx);
+        assert_eq!(f.log_entries.len(), 1);
+        // Leader B (node 1, term 2) never saw 7; its entry conflicts at
+        // index 1 and truncates it.
+        f.on_message(1, &append(2, 9), &mut ctx);
+        assert!(!f.log_digests.contains(&7u64.digest_u64()), "7 was truncated");
+        // B goes silent; the follower times out and wins term 3.
+        ctx.now = 100_000;
+        f.on_timer(TIMER_ELECTION | (f.election_epoch << 8), &mut ctx);
+        f.on_message(0, &RaftMsg::Vote { term: f.term(), granted: true }, &mut ctx);
+        assert_eq!(f.role(), Role::Leader);
+        let log: Vec<u64> = f.log_entries.iter().map(|e| e.payload).collect();
+        assert_eq!(log, vec![9, 7], "the buffered request is adopted behind B's entry");
+        // A client retransmission is not appended twice.
+        f.on_message(0, &RaftMsg::Request(7), &mut ctx);
+        assert_eq!(f.log_entries.len(), 2);
+        f.on_message(
+            0,
+            &RaftMsg::AppendReply { term: f.term(), success: true, match_index: 2 },
+            &mut ctx,
+        );
+        assert_eq!(f.log.payloads(), vec![&9, &7], "decided exactly once");
+        assert!(f.pending.by_arrival.is_empty());
     }
 
     #[test]

@@ -349,10 +349,11 @@ impl<P: Payload> Actor for TendermintNode<P> {
                 {
                     return;
                 }
-                if self.delivered_digests.contains(&payload.digest_u64()) {
+                let digest = payload.digest_u64();
+                if self.delivered_digests.contains(&digest) {
                     return;
                 }
-                self.by_digest.insert(payload.digest_u64(), payload.clone());
+                self.by_digest.insert(digest, payload.clone());
                 self.proposals.insert(key, payload.clone());
                 if *round == self.round {
                     self.maybe_prevote(ctx);

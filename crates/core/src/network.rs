@@ -274,7 +274,8 @@ impl NetworkBuilder {
             batch_size: self.batch_size,
             next_batch_id: 0,
             applied: vec![0; self.n],
-            seals: std::collections::HashMap::new(),
+            seals: std::collections::BTreeMap::new(),
+            sealed: (0, 0),
             consensus: self.consensus,
             arch: self.arch,
             trails: self.audit.then(|| vec![AuditTrail::new(); self.n]),
@@ -322,7 +323,6 @@ pub struct RunReport {
 
 /// A running permissioned blockchain (Figure 1, parameterized).
 pub struct BlockchainNetwork {
-    pub(crate) ordering: Box<dyn OrderingCluster<Batch>>,
     pipelines: Vec<Box<dyn ExecutionPipeline>>,
     pending: Vec<Transaction>,
     pub(crate) batch_size: usize,
@@ -336,7 +336,10 @@ pub struct BlockchainNetwork {
     /// replaying the backlog later (possibly against a *different*
     /// reference, if the original crashed) must seal seq `k` exactly as
     /// the nodes that applied it first did, or heads fork.
-    seals: std::collections::HashMap<u64, BlockSeal>,
+    seals: std::collections::BTreeMap<u64, BlockSeal>,
+    /// `(reference node, entries of its decided log already sealed)`:
+    /// sealing visits only what the reference decided since last time.
+    sealed: (usize, usize),
     consensus: ConsensusKind,
     arch: ArchKind,
     /// Per-node commit audit trails (`NetworkBuilder::with_audit`).
@@ -344,6 +347,13 @@ pub struct BlockchainNetwork {
     /// The genesis state every pipeline started from — the root the
     /// auditor replays from.
     initial_state: StateStore,
+    /// Declared last so that it is dropped last: the state tables above
+    /// are the large blocks, the cluster is many small ones. Freeing the
+    /// large blocks while the small ones still sit above them keeps the
+    /// allocator from handing the heap back to the system between two
+    /// networks built one after the other (glibc trims on a large free at
+    /// the top of the heap; the next `build` then pays the page faults).
+    pub(crate) ordering: Box<dyn OrderingCluster<Batch>>,
 }
 
 impl BlockchainNetwork {
@@ -483,9 +493,7 @@ impl BlockchainNetwork {
     /// with the committed batches these determine the ledger head (see
     /// [`sealed_head`](crate::report::sealed_head)).
     pub fn seals(&self) -> Vec<(u64, BlockSeal)> {
-        let mut seals: Vec<(u64, BlockSeal)> = self.seals.iter().map(|(&s, &b)| (s, b)).collect();
-        seals.sort_unstable_by_key(|&(s, _)| s);
-        seals
+        self.seals.iter().map(|(&s, &b)| (s, b)).collect()
     }
 
     /// The reference node's decided batches in slot order — the block
@@ -592,12 +600,20 @@ impl BlockchainNetwork {
     ) -> Option<usize> {
         let reference = (0..self.len()).find(|&i| !self.ordering.is_crashed(i))?;
         let n = self.len();
-        for (seq, _, t) in self.ordering.decided(reference) {
+        let decided = self.ordering.decided(reference);
+        // A different reference (or one whose log was rebuilt shorter
+        // after an amnesia crash) is walked from the start; `or_insert`
+        // keeps the first pin either way.
+        let (sealed_by, sealed_len) = self.sealed;
+        let from =
+            if sealed_by == reference && sealed_len <= decided.len() { sealed_len } else { 0 };
+        for (seq, _, t) in &decided[from..] {
             let proposer = crate::report::seal_proposer(self.consensus.registry_name(), n, *seq);
             self.seals
                 .entry(*seq)
                 .or_insert(BlockSeal { proposer: pbc_types::NodeId(proposer), time: *t });
         }
+        self.sealed = (reference, decided.len());
         for node in 0..n {
             if self.ordering.is_crashed(node) {
                 continue;
@@ -862,6 +878,60 @@ mod tests {
                 "node {node}: cold re-read off disk must match the decided history"
             );
         }
+    }
+
+    #[test]
+    fn decided_batch_is_one_allocation_on_every_replica() {
+        for (kind, n) in [(ConsensusKind::Pbft, 4), (ConsensusKind::Raft, 3)] {
+            let (chain, report) = run(kind, ArchKind::Ox, n, 24);
+            assert_eq!(report.batches, 3, "{kind:?}");
+            let reference = chain.ordering.decided(0);
+            for node in 1..n {
+                for ((_, ours, _), (_, theirs, _)) in
+                    reference.iter().zip(chain.ordering.decided(node))
+                {
+                    // Through `Deref`: the address of the shared body.
+                    assert!(std::ptr::eq(&**ours, &**theirs), "{kind:?}: node {node} holds a copy");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seals_stay_pinned_when_the_reference_changes_or_its_log_shrinks() {
+        let w = PaymentWorkload { accounts: 64, ..Default::default() };
+        let mut chain = NetworkBuilder::new(3)
+            .consensus(ConsensusKind::Raft)
+            .initial_state(w.initial_state())
+            .batch_size(4)
+            .durable(fault_stores(3, 0x5EA1))
+            .build();
+        let round = |chain: &mut BlockchainNetwork, first: u64| {
+            chain.submit_all(w.generate(first, 8));
+            let report = chain.run_to_completion();
+            assert!(report.consensus_complete && !report.diverged, "round at {first}");
+        };
+        round(&mut chain, 0);
+        chain.persist();
+        let pinned = chain.seals();
+        round(&mut chain, 100);
+        // Node 0 reboots from disk and is the reference again, with a
+        // decided log shorter than what was sealed from it before.
+        chain.apply_nemesis(&NemesisOp::CrashAmnesia { node: 0 });
+        chain.apply_nemesis(&NemesisOp::Restart { node: 0 });
+        assert!(chain.ordering.decided_len(0) < 4);
+        assert_eq!(chain.apply_decided(|_, _, _, _| {}), Some(0));
+        chain.crash(0);
+        round(&mut chain, 200); // sealed from node 1's log
+        chain.restart(0);
+        round(&mut chain, 300); // and from node 0's again
+        assert!(chain.replicas_identical(), "node 0 caught up on the same seals");
+        let seals = chain.seals();
+        assert_eq!(
+            seals.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(),
+            (0..8).collect::<Vec<_>>()
+        );
+        assert_eq!(seals[..pinned.len()], pinned[..], "first pin wins");
     }
 
     #[test]
