@@ -226,12 +226,15 @@ impl EndorsingPipeline {
     /// with identical result digests. Returns the agreed result.
     pub fn check_policy(&self, endorsements: &[Endorsement]) -> Result<ExecResult, EndorseError> {
         self.verify_signatures(endorsements)?;
-        self.check_matching(endorsements)
+        self.check_matching(endorsements).cloned()
     }
 
     /// The digest-agreement half of the policy (signatures assumed
     /// already verified): at least `required` identical result digests.
-    fn check_matching(&self, endorsements: &[Endorsement]) -> Result<ExecResult, EndorseError> {
+    fn check_matching<'a>(
+        &self,
+        endorsements: &'a [Endorsement],
+    ) -> Result<&'a ExecResult, EndorseError> {
         // Group by digest, take the largest agreeing set.
         let mut counts: std::collections::HashMap<pbc_crypto::Hash, usize> =
             std::collections::HashMap::new();
@@ -250,7 +253,7 @@ impl EndorsingPipeline {
             .iter()
             .find(|e| result_digest(&e.result) == best_digest)
             .expect("digest came from this set");
-        Ok(agreed.result.clone())
+        Ok(&agreed.result)
     }
 
     /// Signature validity per transaction for a whole block of
@@ -320,7 +323,7 @@ impl ExecutionPipeline for EndorsingPipeline {
         // when something actually fails).
         let per_tx: Vec<Vec<Endorsement>> = txs.iter().map(|tx| self.endorse(tx)).collect();
         let sig_ok = self.verify_block_signatures(&per_tx);
-        let mut endorsed: Vec<Option<ExecResult>> = Vec::with_capacity(txs.len());
+        let mut endorsed: Vec<Option<&ExecResult>> = Vec::with_capacity(txs.len());
         for (endorsements, ok) in per_tx.iter().zip(sig_ok) {
             let verdict = if ok {
                 self.check_matching(endorsements)
@@ -336,15 +339,15 @@ impl ExecutionPipeline for EndorsingPipeline {
             }
         }
         // Order + validate (plain Fabric semantics).
-        let height = seal_block(&mut self.ledger, seal, txs.clone());
+        let (height, txs) = seal_block(&mut self.ledger, seal, txs);
         let mut outcome = BlockOutcome { sequential_steps: 1, ..Default::default() };
         for (i, (tx, result)) in txs.iter().zip(endorsed).enumerate() {
             match result {
-                Some(r) if validate_read_set(&r, &self.state) == ValidationVerdict::Valid => {
+                Some(r) if validate_read_set(r, &self.state) == ValidationVerdict::Valid => {
                     self.state.apply_writes(&r.write_set, Version::new(height, i as u32));
                     outcome.committed.push(tx.id);
                 }
-                Some(r) => outcome.record_exec_abort(&r),
+                Some(r) => outcome.record_exec_abort(r),
                 None => outcome.aborted.push(tx.id),
             }
         }

@@ -12,9 +12,10 @@
 //! Fabric's serial behaviour and identical verdicts (tested below).
 
 use crate::pipeline::{
-    execute_parallel, seal_block, trace_stage, BlockOutcome, BlockSeal, ExecutionPipeline,
+    execute_parallel, par_map, seal_block, spin, trace_stage, BlockOutcome, BlockSeal,
+    ExecutionPipeline,
 };
-use pbc_ledger::{ChainLedger, ExecResult, StateStore, Version};
+use pbc_ledger::{ChainLedger, StateStore, Version};
 use pbc_txn::validate::{validate_read_set, ValidationVerdict};
 use pbc_txn::DependencyGraph;
 use pbc_types::Transaction;
@@ -46,60 +47,24 @@ impl FastFabricPipeline {
         self.validation_work = work;
         self
     }
-
-    /// Validates one conflict-free layer in parallel against the current
-    /// state. Returns per-index verdicts.
-    fn validate_layer_parallel(&self, results: &[&ExecResult]) -> Vec<ValidationVerdict> {
-        const INLINE_THRESHOLD: usize = 4;
-        if results.len() <= INLINE_THRESHOLD {
-            return results
-                .iter()
-                .map(|r| {
-                    crate::pipeline::spin(self.validation_work);
-                    validate_read_set(r, &self.state)
-                })
-                .collect();
-        }
-        let state = &self.state;
-        let workers =
-            std::thread::available_parallelism().map_or(4, |n| n.get()).min(results.len());
-        let chunk = results.len().div_ceil(workers);
-        let mut verdicts: Vec<Option<ValidationVerdict>> = vec![None; results.len()];
-        crossbeam::thread::scope(|s| {
-            let mut rest = &mut verdicts[..];
-            let mut offset = 0;
-            while offset < results.len() {
-                let take = chunk.min(results.len() - offset);
-                let (head, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let slice = &results[offset..offset + take];
-                let validation_work = self.validation_work;
-                s.spawn(move |_| {
-                    for (slot, r) in head.iter_mut().zip(slice) {
-                        crate::pipeline::spin(validation_work);
-                        *slot = Some(validate_read_set(r, state));
-                    }
-                });
-                offset += take;
-            }
-        })
-        .expect("crossbeam scope");
-        verdicts.into_iter().map(|v| v.expect("all slots filled")).collect()
-    }
 }
 
 impl ExecutionPipeline for FastFabricPipeline {
     fn process_block_sealed(&mut self, txs: Vec<Transaction>, seal: BlockSeal) -> BlockOutcome {
         // Endorse in parallel (same as XOV).
         let results = execute_parallel(&txs, &self.state);
-        let height = seal_block(&mut self.ledger, seal, txs.clone());
+        let (height, txs) = seal_block(&mut self.ledger, seal, txs);
         // Group the block into conflict-free layers.
-        let graph = DependencyGraph::build(&txs);
+        let graph = DependencyGraph::build(txs);
         let layers = graph.layers();
         let mut outcome = BlockOutcome { sequential_steps: layers.len(), ..Default::default() };
         for layer in layers {
-            let layer_results: Vec<&ExecResult> = layer.iter().map(|&i| &results[i]).collect();
-            let verdicts = self.validate_layer_parallel(&layer_results);
+            // One conflict-free layer: version checks (and the simulated
+            // signature work) run in parallel against the pre-layer state.
+            let verdicts = par_map(&layer, |&i| {
+                spin(self.validation_work);
+                validate_read_set(&results[i], &self.state)
+            });
             for (&i, verdict) in layer.iter().zip(verdicts) {
                 // The layers were built from *declared* footprints. When a
                 // dynamic (VM) transaction under-declared, two genuinely

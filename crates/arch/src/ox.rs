@@ -33,7 +33,7 @@ impl OxPipeline {
 
 impl ExecutionPipeline for OxPipeline {
     fn process_block_sealed(&mut self, txs: Vec<Transaction>, seal: BlockSeal) -> BlockOutcome {
-        let height = seal_block(&mut self.ledger, seal, txs.clone());
+        let (height, txs) = seal_block(&mut self.ledger, seal, txs);
         let mut outcome = BlockOutcome { sequential_steps: txs.len(), ..Default::default() };
         for (i, tx) in txs.iter().enumerate() {
             let r = execute_and_apply(tx, &mut self.state, Version::new(height, i as u32));

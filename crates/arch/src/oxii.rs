@@ -11,7 +11,7 @@
 //! allows — the paper's "supports contentious workloads" claim (E2).
 
 use crate::pipeline::{
-    execute_parallel, seal_block, trace_stage, BlockOutcome, BlockSeal, ExecutionPipeline,
+    par_map, seal_block, trace_stage, BlockOutcome, BlockSeal, ExecutionPipeline,
 };
 use pbc_ledger::{ChainLedger, StateStore, Version};
 use pbc_txn::DependencyGraph;
@@ -38,9 +38,9 @@ impl OxiiPipeline {
 
 impl ExecutionPipeline for OxiiPipeline {
     fn process_block_sealed(&mut self, txs: Vec<Transaction>, seal: BlockSeal) -> BlockOutcome {
-        let height = seal_block(&mut self.ledger, seal, txs.clone());
+        let (height, txs) = seal_block(&mut self.ledger, seal, txs);
         // Orderer side: dependency graph over the ordered block.
-        let graph = DependencyGraph::build(&txs);
+        let graph = DependencyGraph::build(txs);
         let layers = graph.layers();
         let mut outcome = BlockOutcome { sequential_steps: layers.len(), ..Default::default() };
         // Executor side: parallel within a layer, barrier between layers.
@@ -58,9 +58,9 @@ impl ExecutionPipeline for OxiiPipeline {
         for layer in layers {
             // `layer` holds block positions in ascending order, so the
             // commit pass below runs in block order.
-            let layer_txs: Vec<Transaction> = layer.iter().map(|&i| txs[i].clone()).collect();
-            let results = execute_parallel(&layer_txs, &self.state);
-            for ((&idx, tx), result) in layer.iter().zip(&layer_txs).zip(results) {
+            let results = par_map(&layer, |&i| pbc_ledger::execute(&txs[i], &self.state));
+            for (&idx, result) in layer.iter().zip(results) {
+                let tx = &txs[idx];
                 let stale =
                     result.read_set.iter().any(|(key, seen)| self.state.version(key) != *seen);
                 if stale {

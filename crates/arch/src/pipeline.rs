@@ -2,6 +2,7 @@
 
 use pbc_ledger::{ChainLedger, ExecResult, StateStore};
 use pbc_types::{Block, NodeId, Transaction, TxId};
+use std::sync::OnceLock;
 
 /// Per-block accounting every pipeline reports.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -114,39 +115,46 @@ pub fn trace_stage(
     });
 }
 
-/// Executes `txs` in parallel against a shared read-only state snapshot,
-/// preserving input order in the results. Falls back to inline execution
-/// for small batches where thread spawn costs dominate.
-pub fn execute_parallel(txs: &[Transaction], state: &StateStore) -> Vec<ExecResult> {
-    const INLINE_THRESHOLD: usize = 4;
-    if txs.len() <= INLINE_THRESHOLD {
-        return txs.iter().map(|t| pbc_ledger::execute(t, state)).collect();
+/// Fewest items each worker thread must receive before [`par_map`]
+/// spawns any. Spawn + join costs about a dozen items of the cheapest
+/// work the pipelines hand over (a ≈6 µs `pbc_ledger::execute`); at this
+/// many per worker threads win on that work by a clear margin, measured
+/// by the crossover rows of `e12_block_path` (EXPERIMENTS.md E20).
+const MIN_CHUNK: usize = 32;
+
+/// Maps `f` over `items`, preserving input order in the results. Runs on
+/// the calling thread unless every worker would receive at least
+/// [`MIN_CHUNK`] items; otherwise splits the slice evenly across scoped
+/// threads, the caller taking the first chunk itself.
+pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    // Read once: the lookup is a syscall plus cgroup file reads.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let workers = cores.min(items.len() / MIN_CHUNK);
+    if workers < 2 {
+        return items.iter().map(f).collect();
     }
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(txs.len());
-    let chunk = txs.len().div_ceil(workers);
-    let mut results: Vec<Option<ExecResult>> = vec![None; txs.len()];
+    let f = &f;
+    let mut chunks = items.chunks(items.len().div_ceil(workers));
+    let first = chunks.next().expect("at least two chunks");
     crossbeam::thread::scope(|s| {
-        let mut rest = &mut results[..];
-        let mut offset = 0;
-        let mut handles = Vec::new();
-        while offset < txs.len() {
-            let take = chunk.min(txs.len() - offset);
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let slice = &txs[offset..offset + take];
-            handles.push(s.spawn(move |_| {
-                for (slot, tx) in head.iter_mut().zip(slice) {
-                    *slot = Some(pbc_ledger::execute(tx, state));
-                }
-            }));
-            offset += take;
-        }
+        let handles: Vec<_> =
+            chunks.map(|chunk| s.spawn(move |_| chunk.iter().map(f).collect::<Vec<R>>())).collect();
+        let mut results = Vec::with_capacity(items.len());
+        results.extend(first.iter().map(f));
         for h in handles {
-            h.join().expect("executor thread panicked");
+            results.extend(h.join().expect("par_map worker panicked"));
         }
+        results
     })
-    .expect("crossbeam scope");
-    results.into_iter().map(|r| r.expect("all slots filled")).collect()
+    .expect("crossbeam scope")
+}
+
+/// Executes `txs` against a shared read-only state snapshot, preserving
+/// input order in the results; on worker threads when the batch is large
+/// enough to be worth spawning them.
+pub fn execute_parallel(txs: &[Transaction], state: &StateStore) -> Vec<ExecResult> {
+    par_map(txs, |tx| pbc_ledger::execute(tx, state))
 }
 
 /// Burns `work` abstract units of CPU (the simulated cost of a
@@ -163,13 +171,19 @@ pub fn spin(work: u32) {
 }
 
 /// Appends a block of `txs` to `ledger` under `seal` (helper shared by
-/// pipelines). The seal's proposer and timestamp are hashed into the
-/// header, so replicas must agree on the seal to agree on the chain.
-pub fn seal_block(ledger: &mut ChainLedger, seal: BlockSeal, txs: Vec<Transaction>) -> u64 {
+/// pipelines) and returns its height and the sealed transactions, which
+/// the caller borrows from the ledger instead of keeping a copy. The
+/// seal's proposer and timestamp are hashed into the header, so replicas
+/// must agree on the seal to agree on the chain.
+pub fn seal_block(
+    ledger: &mut ChainLedger,
+    seal: BlockSeal,
+    txs: Vec<Transaction>,
+) -> (u64, &[Transaction]) {
     let height = ledger.height().next();
     let block = Block::build(height, ledger.head_hash(), seal.proposer, seal.time, txs);
     ledger.append(block).expect("pipeline-built blocks are always valid");
-    height.0
+    (height.0, &ledger.head().txs)
 }
 
 #[cfg(test)]
@@ -205,6 +219,15 @@ mod tests {
         let state = seeded(2);
         let txs = vec![get_tx(0, "k0"), get_tx(1, "k1")];
         assert_eq!(execute_parallel(&txs, &state).len(), 2);
+        // Below the minimum chunk per worker nothing is spawned: empty,
+        // single-item and just-too-small inputs all run on the caller.
+        let caller = std::thread::current().id();
+        for n in [0, 1, MIN_CHUNK, 2 * MIN_CHUNK - 1] {
+            let items: Vec<usize> = (0..n).collect();
+            let out = par_map(&items, |&i| (i, std::thread::current().id()));
+            let expected: Vec<_> = items.iter().map(|&i| (i, caller)).collect();
+            assert_eq!(out, expected, "n={n}");
+        }
     }
 
     #[test]
@@ -215,13 +238,24 @@ mod tests {
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.tx_id, TxId(i as u64));
         }
+        // At the minimum chunk per worker the work is spread over
+        // threads, the caller among them, and still comes back in order.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if cores >= 2 {
+            let items: Vec<usize> = (0..4 * MIN_CHUNK + 3).collect();
+            let out = par_map(&items, |&i| (i, std::thread::current().id()));
+            assert!(out.iter().map(|(i, _)| *i).eq(items.iter().copied()));
+            let ids: std::collections::HashSet<_> = out.iter().map(|(_, id)| *id).collect();
+            assert!(ids.len() >= 2, "cores={cores}: {} thread(s)", ids.len());
+            assert!(ids.contains(&std::thread::current().id()));
+        }
     }
 
     #[test]
     fn seal_block_chains() {
         let mut ledger = ChainLedger::new();
-        let h1 = seal_block(&mut ledger, BlockSeal::standalone(1), vec![get_tx(1, "a")]);
-        let h2 = seal_block(&mut ledger, BlockSeal::standalone(2), vec![get_tx(2, "b")]);
+        let h1 = seal_block(&mut ledger, BlockSeal::standalone(1), vec![get_tx(1, "a")]).0;
+        let h2 = seal_block(&mut ledger, BlockSeal::standalone(2), vec![get_tx(2, "b")]).0;
         assert_eq!(h1, 1);
         assert_eq!(h2, 2);
         ledger.verify().unwrap();
@@ -241,18 +275,15 @@ mod tests {
 
     #[test]
     fn parallel_lower_bound_more_workers_than_keys() {
-        // Just past the inline threshold, with fewer distinct keys than
-        // worker threads: the chunking math must still cover every slot
-        // exactly once and preserve order.
+        // Just past the threshold (threaded on two cores), with fewer
+        // distinct keys than worker threads and an uneven last chunk: the
+        // chunking math must still cover every slot exactly once, in order.
         let state = seeded(2);
-        let txs: Vec<Transaction> = (0..5).map(|i| get_tx(i, &format!("k{}", i % 2))).collect();
-        let par = execute_parallel(&txs, &state);
+        let n = 2 * MIN_CHUNK + 1;
+        let txs: Vec<Transaction> =
+            (0..n).map(|i| get_tx(i as u64, &format!("k{}", i % 2))).collect();
         let seq: Vec<_> = txs.iter().map(|t| pbc_ledger::execute(t, &state)).collect();
-        assert_eq!(par.len(), 5);
-        assert_eq!(par, seq);
-        for (i, r) in par.iter().enumerate() {
-            assert_eq!(r.tx_id, TxId(i as u64));
-        }
+        assert_eq!(execute_parallel(&txs, &state), seq);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl ExecutionPipeline for XovPipeline {
         // 1. Execute/endorse in parallel against the committed snapshot.
         let results = execute_parallel(&txs, &self.state);
         // 2. Order: seal the block in batch order.
-        let height = seal_block(&mut self.ledger, seal, txs.clone());
+        let (height, txs) = seal_block(&mut self.ledger, seal, txs);
         let mut outcome = BlockOutcome { sequential_steps: 1, ..Default::default() };
 
         // 2.5 Optional reordering.

@@ -38,7 +38,7 @@ impl ExecutionPipeline for XoxPipeline {
     fn process_block_sealed(&mut self, txs: Vec<Transaction>, seal: BlockSeal) -> BlockOutcome {
         // Pre-order execution (endorsement).
         let results = execute_parallel(&txs, &self.state);
-        let height = seal_block(&mut self.ledger, seal, txs.clone());
+        let (height, txs) = seal_block(&mut self.ledger, seal, txs);
         let mut outcome = BlockOutcome { sequential_steps: 1, ..Default::default() };
 
         // Validate; collect invalidated transactions for re-execution.

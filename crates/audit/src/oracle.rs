@@ -388,6 +388,8 @@ fn audit_node(
     // 3. Verifiability audit (§2.3.2): sampled tx inclusion proofs
     // against header roots...
     for block in blocks.iter().filter(|b| !b.txs.is_empty()) {
+        // Re-encoded and re-hashed here, never `Transaction::leaf_hash()`:
+        // a wrong memo must not be able to vouch for itself.
         let leaves: Vec<Vec<u8>> = block.txs.iter().map(|t| t.canonical_bytes()).collect();
         let tree = MerkleTree::build(&leaves);
         if tree.root() != block.header.tx_root {

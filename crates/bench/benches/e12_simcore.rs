@@ -8,20 +8,28 @@
 //! snapshots the same workloads into `BENCH_PR2.json` for regression.
 //! `e12_payload` measures what the protocols carry through that loop:
 //! `Batch` clone/digest/wire-size and whole PBFT/Raft runs over batches.
+//! `e12_block_path` measures what a replica does with a decided batch:
+//! transaction clone, Merkle root, seal, one OXII block, and the
+//! inline-vs-threads crossover behind `pbc-arch`'s `par_map`.
 //!
 //! Set `E12_SMOKE=1` to run every workload once with a minimal budget
 //! (the CI bench-smoke job): catches scheduler regressions that crash,
 //! hang, or break determinism without burning CI minutes on timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pbc_arch::pipeline::{seal_block, spin};
+use pbc_arch::{BlockSeal, ExecutionPipeline, OxiiPipeline};
 use pbc_bench::simcore::{
     broadcast_flood, cancel_churn, chaos_run, chaos_storm, chaos_storm_par, consensus_run, Proto,
 };
 use pbc_bench::{fmt_u64, header};
 use pbc_consensus::Payload;
 use pbc_core::Batch;
+use pbc_ledger::ChainLedger;
 use pbc_sim::NetworkConfig;
 use pbc_txn::DependencyGraph;
+use pbc_types::{Block, Transaction};
+use pbc_workload::blockbench::{BlockbenchWorkload, Contract};
 use pbc_workload::{PaymentWorkload, SmallBankWorkload};
 
 fn smoke() -> bool {
@@ -235,6 +243,108 @@ fn bench_payload(c: &mut Criterion) {
     g.finish();
 }
 
+/// `items` mapped over scoped threads whatever their number: the
+/// threaded arm of `pbc_arch`'s `par_map`, without its choice.
+fn spawn_map<R: Send>(items: &[u32], workers: usize, f: impl Fn(&u32) -> R + Sync) -> Vec<R> {
+    let f = &f;
+    let mut chunks = items.chunks(items.len().div_ceil(workers));
+    let first = chunks.next().expect("non-empty input");
+    std::thread::scope(|s| {
+        let handles: Vec<_> =
+            chunks.map(|c| s.spawn(move || c.iter().map(f).collect::<Vec<R>>())).collect();
+        let mut out: Vec<R> = first.iter().map(f).collect();
+        for h in handles {
+            out.extend(h.join().expect("worker panicked"));
+        }
+        out
+    })
+}
+
+fn bench_block_path(c: &mut Criterion) {
+    header(
+        "E12i: sealing and executing a decided block",
+        "a transaction is hashed once and shared; threads are spawned only for work larger \
+         than the spawn",
+    );
+    let io_heavy = BlockbenchWorkload {
+        contract: Contract::IoHeavy,
+        accounts: 1024,
+        scan: 16,
+        accuracy: 0.9,
+        starve: 0.01,
+        ..Default::default()
+    };
+    let mut g = c.benchmark_group("e12_block_path");
+    g.sample_size(if smoke() { 1 } else { 30 });
+    let loads: [(&str, Vec<Transaction>); 2] = [
+        ("payments", PaymentWorkload::default().generate(0, 128)),
+        ("ioheavy", io_heavy.generate(0, 128)),
+    ];
+    for (load, all) in &loads {
+        g.bench_function(BenchmarkId::new("tx_clone", load), |b| b.iter(|| all[0].clone()));
+        for size in [8usize, 32, 128] {
+            let txs = &all[..size];
+            // A first root needs transactions nobody has hashed yet; the
+            // cost of building them is the row above it.
+            let rebuild = || -> Vec<Transaction> {
+                txs.iter()
+                    .map(|t| {
+                        Transaction::with_scope(t.id, t.client, t.scope.clone(), t.ops.clone())
+                    })
+                    .collect()
+            };
+            g.bench_function(BenchmarkId::new(format!("{load}/rebuild"), size), |b| {
+                b.iter(rebuild)
+            });
+            g.bench_function(
+                BenchmarkId::new(format!("{load}/rebuild_and_first_root"), size),
+                |b| b.iter(|| Block::tx_root(&rebuild())),
+            );
+            Block::tx_root(txs);
+            g.bench_function(BenchmarkId::new(format!("{load}/repeated_root"), size), |b| {
+                b.iter(|| Block::tx_root(txs))
+            });
+        }
+        g.bench_function(BenchmarkId::new("seal_block", load), |b| {
+            b.iter(|| {
+                let mut ledger = ChainLedger::new();
+                seal_block(&mut ledger, BlockSeal::standalone(1), all.clone()).0
+            })
+        });
+    }
+    let mut oxii = OxiiPipeline::with_state(io_heavy.initial_state());
+    g.bench_function("oxii_process_block/ioheavy/128", |b| {
+        b.iter(|| oxii.process_block(loads[1].1.clone()))
+    });
+
+    // The crossover that sizes `par_map`'s minimum chunk: the same items
+    // mapped on the calling thread and over scoped threads, at the two
+    // per-item costs the pipelines hand over (one small `execute`, one
+    // simulated signature check).
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let start = std::time::Instant::now();
+    spin(10_000_000);
+    let spins_per_us = 10_000_000.0 / start.elapsed().as_secs_f64() / 1e6;
+    println!("   crossover: {cores} cores, {spins_per_us:.0} spin units per microsecond");
+    g.sample_size(if smoke() { 1 } else { 20 });
+    for us in [6u32, 45] {
+        let work = (us as f64 * spins_per_us) as u32;
+        for n in [8usize, 32, 64, 512, 4096] {
+            if smoke() && n > 64 {
+                continue;
+            }
+            let items = vec![work; n];
+            g.bench_function(BenchmarkId::new(format!("map_inline/{us}us"), n), |b| {
+                b.iter(|| items.iter().map(|&w| spin(w)).collect::<Vec<()>>())
+            });
+            g.bench_function(BenchmarkId::new(format!("map_threads/{us}us"), n), |b| {
+                b.iter(|| spawn_map(&items, cores.max(2), |&w| spin(w)))
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group!(
     e12,
     bench_consensus,
@@ -244,6 +354,7 @@ criterion_group!(
     bench_cancel_churn,
     bench_storm_lanes,
     bench_depgraph,
-    bench_payload
+    bench_payload,
+    bench_block_path
 );
 criterion_main!(e12);

@@ -751,6 +751,29 @@ mod tests {
         }
     }
 
+    /// A decided transaction is one allocation on all n replicas: the
+    /// handle in every replica's sealed block points at the body the
+    /// ordering layer decided, so the leaf-hash memo is shared too and
+    /// each distinct transaction is hashed at most once (counted in
+    /// `pbc-types`' block tests, where the counter lives).
+    #[test]
+    fn replicas_seal_the_decided_transactions_without_copying_them() {
+        let (chain, report) = run(ConsensusKind::Pbft, ArchKind::Oxii, 4, 96);
+        assert!(report.consensus_complete);
+        let decided = chain.decided_batches().expect("a live reference node");
+        assert_eq!(decided.iter().map(|(_, b)| b.txs.len()).sum::<usize>(), 96);
+        for node in 0..4 {
+            let blocks = &chain.node_ledger(node).blocks()[1..];
+            assert_eq!(blocks.len(), decided.len());
+            for (block, (_, batch)) in blocks.iter().zip(&decided) {
+                assert_eq!(block.txs.len(), batch.txs.len());
+                for (sealed, ordered) in block.txs.iter().zip(&batch.txs) {
+                    assert!(std::ptr::eq::<pbc_types::tx::TxInner>(&**sealed, &**ordered));
+                }
+            }
+        }
+    }
+
     #[test]
     fn every_consensus_kind_drives_the_chain() {
         for kind in ConsensusKind::ALL {

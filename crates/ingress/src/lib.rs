@@ -36,12 +36,12 @@ mod tests {
     use proptest::prelude::*;
 
     fn tx(id: u64) -> Transaction {
-        Transaction {
-            id: TxId(id),
-            client: ClientId((id % 7) as u32),
-            scope: TxScope::Global,
-            ops: vec![Op::Noop { busy_work: 0 }],
-        }
+        Transaction::with_scope(
+            TxId(id),
+            ClientId((id % 7) as u32),
+            TxScope::Global,
+            vec![Op::Noop { busy_work: 0 }],
+        )
     }
 
     #[test]

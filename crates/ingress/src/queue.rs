@@ -117,11 +117,13 @@ struct Waiting {
 /// use pbc_ingress::{Admit, IngressQueue, QueueConfig};
 /// use pbc_types::{ClientId, Op, Transaction, TxId, TxScope};
 ///
-/// let tx = |id: u64| Transaction {
-///     id: TxId(id),
-///     client: ClientId(1),
-///     scope: TxScope::Global,
-///     ops: vec![Op::Noop { busy_work: 0 }],
+/// let tx = |id: u64| {
+///     Transaction::with_scope(
+///         TxId(id),
+///         ClientId(1),
+///         TxScope::Global,
+///         vec![Op::Noop { busy_work: 0 }],
+///     )
 /// };
 ///
 /// let mut q = IngressQueue::new(QueueConfig { capacity: 2, ttl: 100 });

@@ -94,7 +94,9 @@ impl ExecResult {
 
 /// Read-your-writes lookup: last buffered write wins (a buffered delete
 /// makes the key read as missing *without* falling through to the
-/// store); only reads served by the store are recorded in the read set.
+/// store); only reads served by the store are recorded in the read set,
+/// once per key (the store cannot change under one execution, so the
+/// first read is authoritative and a repeat adds nothing).
 /// Shared verbatim by the static interpreter and the VM host, which is
 /// what makes their footprints byte-identical.
 fn lookup(
@@ -107,7 +109,9 @@ fn lookup(
         return v.clone();
     }
     let (val, ver) = state.get_versioned(key);
-    reads.push((key.to_string(), ver));
+    if !reads.iter().any(|(k, _)| k == key) {
+        reads.push((key.to_string(), ver));
+    }
     val.cloned()
 }
 
@@ -259,9 +263,7 @@ pub fn execute(tx: &Transaction, state: &StateStore) -> ExecResult {
         }
     }
 
-    // Deduplicate the read set (first read per key is authoritative) and
-    // collapse the write set to the last write per key.
-    read_set.dedup_by(|a, b| a.0 == b.0);
+    // Collapse the write set to the last write per key.
     let mut final_writes: Vec<WriteOp> = Vec::with_capacity(writes.len());
     for (k, v) in writes {
         if let Some(slot) = final_writes.iter_mut().find(|(fk, _)| *fk == k) {
@@ -486,6 +488,28 @@ mod tests {
         assert_eq!(vm.read_set, legacy.read_set, "footprints must be byte-identical");
         assert_eq!(vm.write_set, legacy.write_set);
         assert!(vm.gas_used > 0 && vm.gas_used <= p.straight_line_gas());
+    }
+
+    /// `Get a; Get b; Get a`: the second read of `a` is not adjacent to
+    /// the first, and must still be recorded once — on the static arm
+    /// and on the program compiled from it.
+    #[test]
+    fn non_adjacent_repeated_reads_are_recorded_once() {
+        let ops = vec![
+            Op::Get { key: "alice".into() },
+            Op::Get { key: "bob".into() },
+            Op::Get { key: "alice".into() },
+        ];
+        let s = seeded_state();
+        let expected = vec![
+            ("alice".to_string(), Version::new(1, 0)),
+            ("bob".to_string(), Version::new(1, 1)),
+        ];
+        assert_eq!(execute(&tx(ops.clone()), &s).read_set, expected);
+        let gas = pbc_vm::compile_ops(&ops).straight_line_gas();
+        let vm = execute(&invoke_tx(call_for(&ops, gas)), &s);
+        assert!(vm.is_success());
+        assert_eq!(vm.read_set, expected);
     }
 
     #[test]

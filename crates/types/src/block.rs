@@ -70,10 +70,11 @@ impl Block {
         Block::build(Height(0), Hash::ZERO, NodeId(0), 0, vec![])
     }
 
-    /// Computes the Merkle root over a transaction batch.
+    /// Computes the Merkle root over a transaction batch from the
+    /// transactions' memoised leaf hashes: only the interior nodes are
+    /// hashed when the leaves are already known.
     pub fn tx_root(txs: &[Transaction]) -> Hash {
-        let leaves: Vec<Vec<u8>> = txs.iter().map(|t| t.canonical_bytes()).collect();
-        MerkleTree::build(&leaves).root()
+        MerkleTree::from_leaf_hashes(txs.iter().map(Transaction::leaf_hash).collect()).root()
     }
 
     /// The block hash (header hash).
@@ -130,6 +131,57 @@ mod tests {
         txs.swap(0, 1);
         let r2 = Block::tx_root(&txs);
         assert_ne!(r1, r2);
+    }
+
+    /// The root folded from memoised leaf hashes is the root of the tree
+    /// built over the re-encoded leaves: empty, single, odd-node
+    /// promotion at one and at several levels, a full block, and VM
+    /// payloads.
+    #[test]
+    fn tx_root_matches_the_tree_over_canonical_leaves() {
+        let by_definition = |txs: &[Transaction]| {
+            let leaves: Vec<Vec<u8>> = txs.iter().map(|t| t.canonical_bytes()).collect();
+            MerkleTree::build(&leaves).root()
+        };
+        for n in [0, 1, 2, 3, 5, 128] {
+            let txs = sample_txs(n);
+            assert_eq!(Block::tx_root(&txs), by_definition(&txs), "n={n}");
+            assert_eq!(Block::tx_root(&txs), by_definition(&txs), "n={n}, leaves now memoised");
+        }
+        assert_eq!(Block::tx_root(&[]), Hash::ZERO);
+        let invokes: Vec<Transaction> = (0..5u64)
+            .map(|i| {
+                let call = crate::tx::VmCall {
+                    bytecode: bytes::Bytes::from(vec![i as u8; 40]),
+                    args: vec![i, i + 1],
+                    gas_limit: 1_000 + i,
+                    declared_reads: vec![format!("r{i}")],
+                    declared_writes: vec![format!("w{i}"), "shared".into()],
+                };
+                Transaction::invoke(TxId(i), ClientId(1), call)
+            })
+            .collect();
+        assert_eq!(Block::tx_root(&invokes), by_definition(&invokes));
+    }
+
+    /// What `n` replicas do with one decided batch — each builds the
+    /// block and each ledger re-verifies its root on append — hashes
+    /// every transaction once, not 2·n times.
+    #[test]
+    fn replicas_sealing_the_same_transactions_hash_each_leaf_once() {
+        let computed = crate::tx::leaf_hashes_computed;
+        let decided = sample_txs(64);
+        let before = computed();
+        let roots: Vec<Hash> = (0..4)
+            .map(|replica| {
+                let block =
+                    Block::build(Height(1), Hash::ZERO, NodeId(replica), 10, decided.clone());
+                assert!(block.verify_tx_root());
+                block.header.tx_root
+            })
+            .collect();
+        assert_eq!(computed() - before, 64);
+        assert!(roots.iter().all(|r| *r == roots[0]));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 use crate::encode::{CanonicalEncode, Decoder, Encoder};
 use crate::ids::{ClientId, EnterpriseId, TxId};
 use bytes::Bytes;
+use pbc_crypto::{merkle, Hash};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// A state key. Keys are UTF-8 strings; sharding and enterprise views
 /// partition the key space by prefix or hash.
@@ -335,8 +337,17 @@ impl TxScope {
 }
 
 /// A client transaction: an ordered list of operations plus metadata.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Transaction {
+///
+/// An immutable shared value: a handle to one [`TxInner`], whose fields
+/// `id`, `client`, `scope` and `ops` are read through `Deref`. Cloning
+/// bumps a reference count, and the Merkle leaf hash is computed once,
+/// on first use, for every clone in every replica's ledger. See
+/// DESIGN.md §7.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Transaction(Arc<TxInner>);
+
+/// The shared body of a [`Transaction`].
+pub struct TxInner {
     /// Unique id assigned by the submitting client/workload generator.
     pub id: TxId,
     /// The submitting client.
@@ -346,23 +357,50 @@ pub struct Transaction {
     /// Operations executed in order; a failing `Transfer` aborts the whole
     /// transaction (no partial effects).
     pub ops: Vec<Op>,
+    /// The Merkle leaf hash of the canonical encoding. Lazy: constructors
+    /// and decoders hash nothing, so building or decoding transactions
+    /// that are never sealed into a block (or doing so inside a timed
+    /// set-up section) costs an allocation and no SHA-256.
+    leaf: OnceLock<Hash>,
+}
+
+#[cfg(test)]
+thread_local! {
+    static LEAF_HASHES_COMPUTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Leaf hashes computed on this thread so far (the memo's misses).
+#[cfg(test)]
+pub(crate) fn leaf_hashes_computed() -> u64 {
+    LEAF_HASHES_COMPUTED.with(|c| c.get())
 }
 
 impl Transaction {
     /// Creates a global-scope transaction.
     pub fn new(id: TxId, client: ClientId, ops: Vec<Op>) -> Self {
-        Transaction { id, client, scope: TxScope::Global, ops }
+        Transaction::with_scope(id, client, TxScope::Global, ops)
     }
 
     /// Creates a transaction with an explicit scope.
     pub fn with_scope(id: TxId, client: ClientId, scope: TxScope, ops: Vec<Op>) -> Self {
-        Transaction { id, client, scope, ops }
+        Transaction(Arc::new(TxInner { id, client, scope, ops, leaf: OnceLock::new() }))
     }
 
     /// Creates a global-scope transaction whose whole payload is one VM
     /// invocation.
     pub fn invoke(id: TxId, client: ClientId, call: VmCall) -> Self {
         Transaction::new(id, client, vec![Op::Invoke { call }])
+    }
+
+    /// The Merkle leaf hash of this transaction:
+    /// `merkle::leaf_hash(&self.canonical_bytes())`, computed on first
+    /// use and shared by every clone.
+    pub fn leaf_hash(&self) -> Hash {
+        *self.0.leaf.get_or_init(|| {
+            #[cfg(test)]
+            LEAF_HASHES_COMPUTED.with(|c| c.set(c.get() + 1));
+            merkle::leaf_hash(&self.canonical_bytes())
+        })
     }
 
     /// What this transaction executes: the legacy static op list, or a
@@ -437,6 +475,37 @@ impl Transaction {
     }
 }
 
+impl std::ops::Deref for Transaction {
+    type Target = TxInner;
+
+    fn deref(&self) -> &TxInner {
+        &self.0
+    }
+}
+
+impl PartialEq for Transaction {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.id == other.id
+                && self.client == other.client
+                && self.scope == other.scope
+                && self.ops == other.ops)
+    }
+}
+
+impl Eq for Transaction {}
+
+impl std::fmt::Debug for Transaction {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Transaction")
+            .field("id", &self.id)
+            .field("client", &self.client)
+            .field("scope", &self.scope)
+            .field("ops", &self.ops)
+            .finish()
+    }
+}
+
 impl CanonicalEncode for Transaction {
     fn encode(&self, enc: &mut Encoder) {
         enc.u64(self.id.0).u32(self.client.0);
@@ -461,7 +530,7 @@ impl Transaction {
         for _ in 0..n {
             ops.push(Op::decode(dec)?);
         }
-        Some(Transaction { id, client, scope, ops })
+        Some(Transaction::with_scope(id, client, scope, ops))
     }
 }
 
@@ -604,6 +673,90 @@ mod tests {
         assert!(dec.is_empty());
         assert_eq!(back, t);
         assert_eq!(back.canonical_bytes(), bytes);
+    }
+
+    fn sample() -> Transaction {
+        Transaction::with_scope(
+            TxId(42),
+            ClientId(7),
+            TxScope::Internal(EnterpriseId(2)),
+            vec![Op::Get { key: "a".into() }, Op::Incr { key: "c".into(), delta: -9 }],
+        )
+    }
+
+    /// The memo can never drift from the definition, is filled on first
+    /// use only, and is shared by every clone.
+    #[test]
+    fn leaf_hash_is_the_merkle_leaf_of_the_canonical_bytes_computed_once() {
+        let before = leaf_hashes_computed();
+        let t = sample();
+        let bytes = t.canonical_bytes();
+        let decoded = Transaction::decode(&mut Decoder::new(&bytes)).unwrap();
+        let clone = t.clone();
+        assert_eq!(
+            leaf_hashes_computed(),
+            before,
+            "constructing, cloning and decoding hash nothing"
+        );
+
+        assert_eq!(clone.leaf_hash(), merkle::leaf_hash(&bytes));
+        assert_eq!(leaf_hashes_computed(), before + 1);
+        assert_eq!(t.leaf_hash(), merkle::leaf_hash(&bytes), "the clone's hash is ours");
+        assert_eq!(t.clone().leaf_hash(), t.leaf_hash());
+        assert_eq!(leaf_hashes_computed(), before + 1, "asked again: no new hash");
+
+        assert_eq!(decoded, t);
+        assert_eq!(decoded.leaf_hash(), t.leaf_hash());
+        assert_eq!(leaf_hashes_computed(), before + 2, "a decoded copy is its own allocation");
+    }
+
+    #[test]
+    fn equality_is_by_value() {
+        let a = sample();
+        assert_eq!(a, a.clone());
+        assert_eq!(a, sample(), "separately built, no pointer shortcut");
+        let with = |id: u64, client: u32, scope: TxScope, ops: Vec<Op>| {
+            Transaction::with_scope(TxId(id), ClientId(client), scope, ops)
+        };
+        let scope = || a.scope.clone();
+        assert_ne!(a, with(43, 7, scope(), a.ops.clone()), "id differs");
+        assert_ne!(a, with(42, 8, scope(), a.ops.clone()), "client differs");
+        assert_ne!(a, with(42, 7, TxScope::Global, a.ops.clone()), "scope differs");
+        let mut ops = a.ops.clone();
+        ops[1] = Op::Incr { key: "c".into(), delta: -8 };
+        assert_ne!(a, with(42, 7, scope(), ops), "an op differs");
+        assert_ne!(a, with(42, 7, scope(), a.ops[..1].to_vec()), "an op is missing");
+    }
+
+    #[test]
+    fn transactions_cross_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Transaction>();
+    }
+
+    /// Post-mortem dumps print transactions: the hand-written `Debug`
+    /// must stay byte-equal to what `#[derive(Debug)]` printed when the
+    /// four fields sat in the struct itself.
+    #[test]
+    fn debug_output_is_the_derived_one() {
+        mod derived {
+            use super::super::*;
+            #[derive(Debug)]
+            #[allow(dead_code)] // read only by the derive
+            pub struct Transaction<'a> {
+                pub id: &'a TxId,
+                pub client: &'a ClientId,
+                pub scope: &'a TxScope,
+                pub ops: &'a Vec<Op>,
+            }
+        }
+        let t = sample();
+        let d = derived::Transaction { id: &t.id, client: &t.client, scope: &t.scope, ops: &t.ops };
+        assert_eq!(format!("{t:?}"), format!("{d:?}"));
+        assert_eq!(format!("{t:#?}"), format!("{d:#?}"));
+        assert!(
+            format!("{t:?}").starts_with("Transaction { id: tx42, client: c7, scope: Internal(")
+        );
     }
 
     #[test]
