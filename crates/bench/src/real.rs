@@ -12,8 +12,13 @@
 //! Timings come second and are honest about what they are: wall-clock
 //! numbers from one machine's loopback, useful for spotting
 //! regressions in the runtime itself, not for cross-host comparison.
-//! Writes `BENCH_REAL.json` (schema `pbc-real-v1`). `REAL_SMOKE=1`
-//! shrinks the batch count for CI while keeping every assertion.
+//! After the cross-check, a closed-loop pass on a fresh cluster (one
+//! client, one batch outstanding) times each batch from `submit` to
+//! `wait_decided(0, k)`: `first_batch_ms` is batch 0, which also pays
+//! the client's four handshakes, `client_p50_ms`/`client_p99_ms` are
+//! over the `latency_samples` batches after it.
+//! Writes `BENCH_REAL.json` (schema `pbc-real-v2`). `REAL_SMOKE=1`
+//! shrinks the batch counts for CI while keeping every assertion.
 
 use pbc_core::{sealed_head, ArchKind, Batch, ConsensusKind, NetworkBuilder};
 use pbc_net::NetRunner;
@@ -41,6 +46,47 @@ struct ProtoRow {
     bytes_sent: u64,
     reconnects: u64,
     handshakes_rejected: u64,
+    latency: ClientLatency,
+}
+
+/// What one closed-loop client saw, submit to decision at node 0.
+struct ClientLatency {
+    first_batch_ms: f64,
+    p50_ms: f64,
+    p99_ms: f64,
+    samples: usize,
+}
+
+/// The timing pass: a fresh cluster, one batch outstanding. The wait on
+/// every replica between batches is outside the timed interval; it is
+/// what keeps a rotating proposer to one candidate per height.
+fn client_latency(proto: &'static str, seed: u64, n_batches: usize) -> ClientLatency {
+    let workload = PaymentWorkload { accounts: 128, seed, ..Default::default() };
+    let txs = workload.generate(0, n_batches * BATCH);
+    let mut cluster =
+        pbc_core::consensus::run_real::<Batch, _>(proto, 4, NetRunner::with_seed(seed))
+            .unwrap_or_else(|| panic!("{proto} is not wire-capable"))
+            .expect("localhost cluster boots");
+    let mut ms = Vec::with_capacity(n_batches);
+    for (k, batch) in batches(&txs).into_iter().enumerate() {
+        let t = Instant::now();
+        cluster.submit(batch);
+        assert!(cluster.wait_decided(0, k + 1, WAIT), "{proto}: node 0 stalled at batch {k}");
+        ms.push(t.elapsed().as_secs_f64() * 1e3);
+        assert!(cluster.wait_all_decided(k + 1, WAIT), "{proto}: a replica stalled at batch {k}");
+    }
+    let ids = |node| cluster.decided(node).iter().map(|(_, b, _)| b.id).collect::<Vec<_>>();
+    let reference = ids(0);
+    assert_eq!(reference.len(), n_batches, "{proto}: one decision per batch");
+    for node in 1..4 {
+        assert_eq!(ids(node), reference, "{proto}: replica {node} ordered differently");
+    }
+    assert_eq!(cluster.stats().decode_errors, 0, "{proto}: healthy run must decode every frame");
+
+    let first_batch_ms = ms.remove(0);
+    ms.sort_by(f64::total_cmp);
+    let at = |p: f64| ms[((ms.len() - 1) as f64 * p) as usize];
+    ClientLatency { first_batch_ms, p50_ms: at(0.50), p99_ms: at(0.99), samples: ms.len() }
 }
 
 /// How the benchmark's client submits work.
@@ -66,6 +112,7 @@ fn run_proto(
     mode: ClientMode,
     seed: u64,
     n_batches: usize,
+    latency_batches: usize,
 ) -> ProtoRow {
     let workload = PaymentWorkload { accounts: 128, seed, ..Default::default() };
     let txs = workload.generate(0, n_batches * BATCH);
@@ -142,6 +189,7 @@ fn run_proto(
 
     let stats = cluster.stats();
     assert_eq!(stats.decode_errors, 0, "{proto}: healthy run must decode every frame");
+    cluster.shutdown();
     ProtoRow {
         proto,
         batches: n_batches,
@@ -153,6 +201,7 @@ fn run_proto(
         bytes_sent: stats.bytes_sent,
         reconnects: stats.reconnects,
         handshakes_rejected: stats.handshakes_rejected,
+        latency: client_latency(proto, seed, latency_batches),
     }
 }
 
@@ -161,6 +210,9 @@ fn run_proto(
 pub fn real_bench(out_path: &str) {
     let smoke = std::env::var("REAL_SMOKE").is_ok_and(|v| v == "1");
     let n_batches = if smoke { 4 } else { 12 };
+    // Enough batches past the first for ten samples beyond the 99th
+    // percentile; the smoke run keeps the assertions, not the percentile.
+    let latency_batches = if smoke { 9 } else { 1025 };
     crate::header(
         "REAL: deployment mode cross-check (4-node localhost TCP vs simulator)",
         "the same ordering actors commit the same batch sequence over real \
@@ -173,10 +225,13 @@ pub fn real_bench(out_path: &str) {
         ("ibft", ConsensusKind::Ibft, ClientMode::ClosedLoop),
     ];
     for (proto, kind, mode) in runs {
-        let row = run_proto(proto, kind, mode, 0x4EA1 ^ proto.len() as u64, n_batches);
+        let seed = 0x4EA1 ^ proto.len() as u64;
+        let row = run_proto(proto, kind, mode, seed, n_batches, latency_batches);
         println!(
             "{:>5}: {} batches ({} txs) over TCP in {:.3}s  {:>7.1} batches/s {:>9.0} txs/s  \
-             frames={} bytes={} reconnects={} rejected={}  [sequence == sim, head == sim]",
+             frames={} bytes={} reconnects={} rejected={}  [sequence == sim, head == sim]\n       \
+             closed loop, submit -> decided at node 0: first batch {:.3} ms, then p50 {:.3} ms \
+             p99 {:.3} ms over {} batches",
             row.proto,
             row.batches,
             row.txs,
@@ -187,6 +242,10 @@ pub fn real_bench(out_path: &str) {
             row.bytes_sent,
             row.reconnects,
             row.handshakes_rejected,
+            row.latency.first_batch_ms,
+            row.latency.p50_ms,
+            row.latency.p99_ms,
+            row.latency.samples,
         );
         rows.push(row);
     }
@@ -198,7 +257,9 @@ pub fn real_bench(out_path: &str) {
                 "    {{\"proto\": \"{}\", \"batches\": {}, \"txs\": {}, \"secs\": {:.6}, \
                  \"batches_per_sec\": {:.2}, \"txs_per_sec\": {:.0}, \"frames_sent\": {}, \
                  \"bytes_sent\": {}, \"reconnects\": {}, \"handshakes_rejected\": {}, \
-                 \"sequence_matches_sim\": true, \"head_matches_sim\": true}}",
+                 \"sequence_matches_sim\": true, \"head_matches_sim\": true, \
+                 \"first_batch_ms\": {:.3}, \"client_p50_ms\": {:.3}, \"client_p99_ms\": {:.3}, \
+                 \"latency_samples\": {}}}",
                 r.proto,
                 r.batches,
                 r.txs,
@@ -209,11 +270,15 @@ pub fn real_bench(out_path: &str) {
                 r.bytes_sent,
                 r.reconnects,
                 r.handshakes_rejected,
+                r.latency.first_batch_ms,
+                r.latency.p50_ms,
+                r.latency.p99_ms,
+                r.latency.samples,
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": \"pbc-real-v1\",\n  \"smoke\": {},\n  \"nodes\": 4,\n  \
+        "{{\n  \"schema\": \"pbc-real-v2\",\n  \"smoke\": {},\n  \"nodes\": 4,\n  \
          \"batch_size\": {BATCH},\n  \"note\": \"timings are wall-clock loopback; the \
          cross-check fields are the data\",\n  \"runs\": [\n{}\n  ]\n}}\n",
         smoke,

@@ -22,15 +22,24 @@
 //! a commit sequence produced here and one produced by the simulator
 //! from the same seed can be compared row by row (`sweep --real`).
 //!
-//! Everything is bounded and shuts down cleanly: sockets carry read
-//! timeouts so reader threads observe the stop flag, dialers check it
-//! between pump ticks, and `kill` joins a node's threads before
-//! returning. A killed node's peers fall into their reconnect loops
-//! and the surviving quorum keeps deciding — the liveness half of the
-//! §2.3.3 story, now observable on a real transport.
+//! Every thread blocks on the one event source it serves, and both its
+//! work and its stop arrive through that source — no thread sleeps to
+//! find out whether something happened. The node loop blocks on its
+//! inbox (until the next timer deadline) and is stopped by an
+//! `Event::Stop`; a dialer blocks on its outbound channel, also while
+//! it waits out a backoff, and exits when the node loop drops the
+//! sender; a reader blocks in `read` and is woken by `shutdown(Both)`
+//! on the clone of its socket the node keeps registered; the listener
+//! blocks in `accept` and is woken by a poke connection. A client
+//! waiting for a decision blocks the same way, on the node's decided
+//! feed. `kill` delivers the stop events and joins every thread the
+//! node started, readers included (DESIGN.md §9 has the table). A
+//! killed node's peers fall into their reconnect loops and the
+//! surviving quorum keeps deciding — the liveness half of the §2.3.3
+//! story, now observable on a real transport.
 
 use crate::frame::{
-    frame, read_frame_stoppable, write_frame, Hello, WireError, CLIENT_NODE, DEFAULT_MAX_FRAME,
+    frame, read_frame, write_frame, Hello, WireError, CLIENT_NODE, DEFAULT_MAX_FRAME,
 };
 use crate::timer::TimerQueue;
 use pbc_consensus::ordering::RealRuntime;
@@ -39,11 +48,12 @@ use pbc_consensus::{OrderingActor, Payload};
 use pbc_sim::actor::Effect;
 use pbc_sim::{Context, NodeIdx, SimTime};
 use pbc_store::write_full;
+use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -67,9 +77,6 @@ pub struct NetConfig {
     pub backoff: Duration,
     /// Backoff ceiling (doubling stops here).
     pub backoff_max: Duration,
-    /// Socket read timeout and channel poll tick: the latency bound on
-    /// noticing the stop flag.
-    pub poll: Duration,
 }
 
 impl Default for NetConfig {
@@ -80,7 +87,6 @@ impl Default for NetConfig {
             max_frame: DEFAULT_MAX_FRAME,
             backoff: Duration::from_millis(20),
             backoff_max: Duration::from_millis(500),
-            poll: Duration::from_millis(25),
         }
     }
 }
@@ -98,6 +104,7 @@ pub struct RealStats {
     bytes_sent: AtomicU64,
     bytes_recv: AtomicU64,
     decode_errors: AtomicU64,
+    accept_errors: AtomicU64,
 }
 
 /// A point-in-time copy of [`RealStats`].
@@ -122,6 +129,9 @@ pub struct RealStatsSnap {
     pub bytes_recv: u64,
     /// Frames that failed message decoding (connection dropped).
     pub decode_errors: u64,
+    /// Inbound connections lost to a failed `accept` (or a socket that
+    /// could not be registered); the listener keeps accepting.
+    pub accept_errors: u64,
 }
 
 impl RealStats {
@@ -136,6 +146,7 @@ impl RealStats {
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
             bytes_recv: self.bytes_recv.load(Ordering::Relaxed),
             decode_errors: self.decode_errors.load(Ordering::Relaxed),
+            accept_errors: self.accept_errors.load(Ordering::Relaxed),
         }
     }
 }
@@ -161,14 +172,127 @@ enum Event<M> {
     Stop,
 }
 
-/// Shared view of a node's delivered log: `(seq, payload, decide time)`.
-type SharedDecided<P> = Arc<Mutex<Vec<(u64, P, SimTime)>>>;
+/// One encoded frame, shared by every peer link a broadcast goes to.
+type Frame = Arc<Vec<u8>>;
+
+/// A node's delivered log as its clients see it: `(seq, payload, decide
+/// time)`, appended by the node loop, waited on by clients.
+struct Feed<P> {
+    log: Mutex<Vec<(u64, P, SimTime)>>,
+    grew: Condvar,
+}
+
+impl<P: Clone> Feed<P> {
+    fn new() -> Self {
+        Feed { log: Mutex::new(Vec::new()), grew: Condvar::new() }
+    }
+
+    /// Appends newly delivered entries and wakes every waiter (they
+    /// wait for different lengths, so each re-checks its own).
+    fn publish(&self, entries: &[(u64, P, SimTime)]) {
+        self.log.lock().expect("no panic under the feed lock").extend_from_slice(entries);
+        self.grew.notify_all();
+    }
+
+    /// Blocks until the log holds `target` entries or `timeout` passes;
+    /// true when it does.
+    fn wait(&self, target: usize, timeout: Duration) -> bool {
+        let log = self.log.lock().expect("no panic under the feed lock");
+        let (_log, wait) = self
+            .grew
+            .wait_timeout_while(log, timeout, |log| log.len() < target)
+            .expect("no panic under the feed lock");
+        !wait.timed_out()
+    }
+
+    fn snapshot(&self) -> Vec<(u64, P, SimTime)> {
+        self.log.lock().expect("no panic under the feed lock").clone()
+    }
+}
+
+/// Every socket a node's threads may block on, so that stopping the
+/// node is an event on each of them: [`Conns::close`] shuts every
+/// registered clone down, which fails the blocked `read`/`write` on the
+/// original, and refuses registration from then on — the listener and
+/// the dialers learn that the node stopped from that refusal.
+#[derive(Default)]
+struct Conns {
+    inner: Mutex<ConnsInner>,
+}
+
+#[derive(Default)]
+struct ConnsInner {
+    closed: bool,
+    next_id: u64,
+    open: HashMap<u64, TcpStream>,
+}
+
+/// Keeps one socket registered; dropping it (the owning thread is done
+/// with the socket) releases the registry's clone.
+struct ConnGuard {
+    conns: Arc<Conns>,
+    id: u64,
+}
+
+impl Conns {
+    /// Every update leaves the registry valid, so a poisoned lock is
+    /// recovered — `close` runs from `Drop`, which must not panic.
+    fn lock(&self) -> MutexGuard<'_, ConnsInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers a clone of `stream`. `Ok(None)` when the node has
+    /// stopped; `Err` when the socket could not be cloned.
+    fn register(self: &Arc<Self>, stream: &TcpStream) -> io::Result<Option<ConnGuard>> {
+        let clone = stream.try_clone()?;
+        let mut inner = self.lock();
+        if inner.closed {
+            return Ok(None);
+        }
+        let id = inner.next_id;
+        inner.next_id += 1;
+        inner.open.insert(id, clone);
+        Ok(Some(ConnGuard { conns: self.clone(), id }))
+    }
+
+    fn close(&self) {
+        let mut inner = self.lock();
+        inner.closed = true;
+        for (_, stream) in inner.open.drain() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    fn is_closed(&self) -> bool {
+        self.lock().closed
+    }
+}
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        self.conns.lock().open.remove(&self.id);
+    }
+}
+
+/// Starts one of a node's threads. Under test every such thread counts
+/// itself live from entry to exit, which is how the tests see that
+/// `kill` left none behind.
+fn spawn(body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    thread::spawn(move || {
+        #[cfg(test)]
+        let _live = tests::Live::enter();
+        body()
+    })
+}
 
 struct Node<A: OrderingActor> {
-    stop: Arc<AtomicBool>,
+    conns: Arc<Conns>,
     inbox: mpsc::Sender<Event<A::Msg>>,
-    decided: SharedDecided<A::Payload>,
+    feed: Arc<Feed<A::Payload>>,
+    /// The node loop and the dialers.
     joins: Vec<JoinHandle<()>>,
+    /// The listener, which joins its readers before it returns.
+    listener: Option<JoinHandle<()>>,
     down: bool,
 }
 
@@ -179,7 +303,7 @@ struct Node<A: OrderingActor> {
 fn route_effects<M: WireMsg + Send>(
     ctx: &mut Context<M>,
     timers: &mut TimerQueue,
-    peers: &[Option<mpsc::Sender<Arc<Vec<u8>>>>],
+    peers: &[Option<mpsc::Sender<Frame>>],
     self_tx: &mpsc::Sender<Event<M>>,
     id: NodeIdx,
     cfg: &NetConfig,
@@ -219,16 +343,16 @@ fn route_effects<M: WireMsg + Send>(
 /// The event loop owning one actor: inbox messages, due timers, decided
 /// publication. `ctx.now` advances on the monotonic clock, quantized to
 /// `cfg.tick` — the real-time analogue of the simulator's event clock.
+/// Returning drops the peer senders, which is what stops the dialers.
 #[allow(clippy::too_many_arguments)]
 fn node_loop<A>(
     mut actor: A,
     id: NodeIdx,
     n: usize,
     inbox_rx: mpsc::Receiver<Event<A::Msg>>,
-    peers: Vec<Option<mpsc::Sender<Arc<Vec<u8>>>>>,
+    peers: Vec<Option<mpsc::Sender<Frame>>>,
     self_tx: mpsc::Sender<Event<A::Msg>>,
-    decided: SharedDecided<A::Payload>,
-    stop: Arc<AtomicBool>,
+    feed: Arc<Feed<A::Payload>>,
     cfg: NetConfig,
     epoch: Instant,
 ) where
@@ -244,99 +368,105 @@ fn node_loop<A>(
     actor.on_start(&mut ctx);
     route_effects(&mut ctx, &mut timers, &peers, &self_tx, id, &cfg);
 
-    'run: loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
+    // What follows every callback: route its effects, and publish a
+    // decision the moment it exists — a client is blocked on the feed,
+    // and whatever else is queued must not stand between it and the
+    // wake-up.
+    let mut settle = |actor: &A, ctx: &mut Context<A::Msg>, timers: &mut TimerQueue| {
+        route_effects(ctx, timers, &peers, &self_tx, id, &cfg);
+        let log = actor.log().delivered();
+        if log.len() > published {
+            feed.publish(&log[published..]);
+            published = log.len();
         }
-        let wait = match timers.next_deadline() {
-            Some(at) => at.saturating_duration_since(Instant::now()).min(cfg.poll),
-            None => cfg.poll,
+    };
+
+    loop {
+        let mut next = match timers.next_deadline() {
+            Some(at) => inbox_rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+            None => inbox_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
-        match inbox_rx.recv_timeout(wait) {
-            Ok(Event::Deliver { from, msg }) => {
-                ctx.now = now_ticks();
-                actor.on_message(from, &msg, &mut ctx);
-                route_effects(&mut ctx, &mut timers, &peers, &self_tx, id, &cfg);
-            }
-            Ok(Event::Stop) | Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-        // Drain whatever else is already queued before sleeping again.
+        // Handle what woke us, then whatever else is already queued.
         loop {
-            match inbox_rx.try_recv() {
+            match next {
                 Ok(Event::Deliver { from, msg }) => {
                     ctx.now = now_ticks();
                     actor.on_message(from, &msg, &mut ctx);
-                    route_effects(&mut ctx, &mut timers, &peers, &self_tx, id, &cfg);
+                    settle(&actor, &mut ctx, &mut timers);
                 }
-                Ok(Event::Stop) => break 'run,
-                Err(_) => break,
+                Ok(Event::Stop) | Err(RecvTimeoutError::Disconnected) => return,
+                Err(RecvTimeoutError::Timeout) => break,
             }
+            next = inbox_rx.try_recv().map_err(|_| RecvTimeoutError::Timeout);
         }
         while let Some(tid) = timers.pop_due(Instant::now()) {
             ctx.now = now_ticks();
             actor.on_timer(tid, &mut ctx);
-            route_effects(&mut ctx, &mut timers, &peers, &self_tx, id, &cfg);
-        }
-        let log = actor.log().delivered();
-        if log.len() > published {
-            decided.lock().expect("decided lock").extend_from_slice(&log[published..]);
-            published = log.len();
+            settle(&actor, &mut ctx, &mut timers);
         }
     }
 }
 
-/// Accept loop: non-blocking accept + stop polling; each accepted
-/// connection gets its own reader thread.
+/// Accept loop: a blocking `accept`, one reader thread per connection.
+/// The stop event is a connection too — `kill` closes the registry and
+/// then pokes this address, and the refused registration ends the loop.
+/// An `accept` that fails while the node runs (`ECONNABORTED`,
+/// `EMFILE`) loses that connection, not the listener. The readers are
+/// joined here, so joining the listener joins them all.
 #[allow(clippy::too_many_arguments)]
 fn listener_loop<M: WireMsg + Send + 'static>(
     listener: TcpListener,
     my_id: NodeIdx,
     n: usize,
     inbox: mpsc::Sender<Event<M>>,
-    stop: Arc<AtomicBool>,
+    conns: Arc<Conns>,
     genesis: u64,
     cfg: NetConfig,
     stats: Arc<RealStats>,
 ) {
-    listener.set_nonblocking(true).expect("nonblocking listener");
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
     loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let (inbox, stop, stats) = (inbox.clone(), stop.clone(), stats.clone());
-                thread::spawn(move || {
-                    reader_conn::<M>(stream, my_id, n, inbox, stop, genesis, cfg, stats);
-                });
+        let accepted = listener.accept().and_then(|(stream, _)| {
+            let registered = conns.register(&stream)?;
+            Ok((stream, registered))
+        });
+        match accepted {
+            Ok((stream, Some(registered))) => {
+                let (inbox, stats) = (inbox.clone(), stats.clone());
+                readers.retain(|reader| !reader.is_finished());
+                readers.push(spawn(move || {
+                    reader_conn::<M>(stream, my_id, n, inbox, genesis, cfg, stats);
+                    drop(registered);
+                }));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(cfg.poll / 4),
-            Err(_) => return,
+            Ok((_, None)) => break,
+            Err(_) if conns.is_closed() => break,
+            Err(_) => {
+                stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+            }
         }
+    }
+    for reader in readers {
+        let _ = reader.join();
     }
 }
 
 /// One inbound connection: validate the handshake, answer it, then
 /// decode frames into inbox messages until the peer goes away, the
-/// node stops, or the peer sends garbage (which drops the connection —
-/// a peer that frames garbage once will do it again).
-#[allow(clippy::too_many_arguments)]
+/// node stops (the socket is shut down under the blocked read), or the
+/// peer sends garbage (which drops the connection — a peer that frames
+/// garbage once will do it again).
 fn reader_conn<M: WireMsg + Send>(
     mut stream: TcpStream,
     my_id: NodeIdx,
     n: usize,
     inbox: mpsc::Sender<Event<M>>,
-    stop: Arc<AtomicBool>,
     genesis: u64,
     cfg: NetConfig,
     stats: Arc<RealStats>,
 ) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(cfg.poll));
-    let hello = match read_frame_stoppable(&mut stream, cfg.max_frame, &stop)
-        .and_then(|body| Hello::decode(&body))
-    {
+    let hello = match read_frame(&mut stream, cfg.max_frame).and_then(|body| Hello::decode(&body)) {
         Ok(h) => h,
         Err(_) => {
             stats.handshakes_rejected.fetch_add(1, Ordering::Relaxed);
@@ -362,7 +492,7 @@ fn reader_conn<M: WireMsg + Send>(
     }
     stats.handshakes_ok.fetch_add(1, Ordering::Relaxed);
     loop {
-        match read_frame_stoppable(&mut stream, cfg.max_frame, &stop) {
+        match read_frame(&mut stream, cfg.max_frame) {
             Ok(body) => match M::from_wire(&body) {
                 Some(msg) => {
                     stats.frames_recv.fetch_add(1, Ordering::Relaxed);
@@ -381,82 +511,108 @@ fn reader_conn<M: WireMsg + Send>(
     }
 }
 
+/// One dial attempt: connect, register the socket (so that a stop wakes
+/// a handshake the peer never answers), exchange `Hello`s. `Err(())`
+/// is a failed attempt to back off from; `Ok(None)` means the node has
+/// stopped.
+fn dial(
+    my_id: NodeIdx,
+    addr: SocketAddr,
+    conns: &Arc<Conns>,
+    genesis: u64,
+    cfg: &NetConfig,
+    stats: &RealStats,
+) -> Result<Option<(TcpStream, ConnGuard)>, ()> {
+    stats.dials.fetch_add(1, Ordering::Relaxed);
+    let mut stream = TcpStream::connect(addr).map_err(drop)?;
+    let _ = stream.set_nodelay(true);
+    let Some(registered) = conns.register(&stream).map_err(drop)? else {
+        return Ok(None);
+    };
+    let ours = Hello { genesis, node: my_id as u32 };
+    let handshake = write_frame(&mut stream, &ours.encode(), cfg.max_frame)
+        .and_then(|()| read_frame(&mut stream, cfg.max_frame))
+        .and_then(|body| Hello::decode(&body))
+        .and_then(|theirs| {
+            if theirs.genesis == genesis {
+                Ok(())
+            } else {
+                Err(WireError::GenesisMismatch { ours: genesis, theirs: theirs.genesis })
+            }
+        });
+    match handshake {
+        Ok(()) => {
+            stats.handshakes_ok.fetch_add(1, Ordering::Relaxed);
+            Ok(Some((stream, registered)))
+        }
+        Err(_) if conns.is_closed() => Ok(None),
+        Err(_) => {
+            stats.handshakes_rejected.fetch_add(1, Ordering::Relaxed);
+            Err(())
+        }
+    }
+}
+
 /// Outbound link to one peer: dial (and re-dial with exponential
 /// backoff), handshake, then pump the outbound channel onto the socket.
-/// A write failure abandons the connection and re-enters the dial loop;
-/// the channel keeps buffering while the peer is away, so messages
-/// queued during an outage flush on reconnect.
+/// A frame leaves `unsent` only once a socket took all of it, so a
+/// write failure abandons the connection, not the frame: it is the
+/// first thing written after the re-dial, followed by whatever the
+/// channel buffered while the peer was away. The backoff is waited out
+/// on the channel, so the node loop going away (`Disconnected`) ends a
+/// dialer at once wherever it is.
 #[allow(clippy::too_many_arguments)]
 fn dialer_loop(
     my_id: NodeIdx,
     peer: NodeIdx,
     addrs: Arc<Mutex<Vec<SocketAddr>>>,
-    rx: mpsc::Receiver<Arc<Vec<u8>>>,
-    stop: Arc<AtomicBool>,
+    rx: mpsc::Receiver<Frame>,
+    conns: Arc<Conns>,
     genesis: u64,
     cfg: NetConfig,
     stats: Arc<RealStats>,
 ) {
     let mut delay = cfg.backoff;
     let mut connected_before = false;
+    let mut unsent: VecDeque<Frame> = VecDeque::new();
     'dial: loop {
-        if stop.load(Ordering::Relaxed) {
+        if conns.is_closed() {
             return;
         }
         let addr = addrs.lock().expect("addrs lock")[peer];
-        stats.dials.fetch_add(1, Ordering::Relaxed);
-        let mut stream = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(_) => {
-                thread::sleep(delay);
+        let (mut stream, _registered) = match dial(my_id, addr, &conns, genesis, &cfg, &stats) {
+            Ok(Some(link)) => link,
+            Ok(None) => return,
+            Err(()) => {
+                let retry_at = Instant::now() + delay;
                 delay = (delay * 2).min(cfg.backoff_max);
-                continue;
+                loop {
+                    match rx.recv_timeout(retry_at.saturating_duration_since(Instant::now())) {
+                        Ok(bytes) => unsent.push_back(bytes),
+                        Err(RecvTimeoutError::Timeout) => continue 'dial,
+                        Err(RecvTimeoutError::Disconnected) => return,
+                    }
+                }
             }
         };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(cfg.poll));
-        let ours = Hello { genesis, node: my_id as u32 };
-        let handshake = write_frame(&mut stream, &ours.encode(), cfg.max_frame)
-            .and_then(|()| read_frame_stoppable(&mut stream, cfg.max_frame, &stop))
-            .and_then(|body| Hello::decode(&body))
-            .and_then(|theirs| {
-                if theirs.genesis == genesis {
-                    Ok(())
-                } else {
-                    Err(WireError::GenesisMismatch { ours: genesis, theirs: theirs.genesis })
-                }
-            });
-        match handshake {
-            Ok(()) => {}
-            Err(WireError::Stopped) => return,
-            Err(_) => {
-                stats.handshakes_rejected.fetch_add(1, Ordering::Relaxed);
-                thread::sleep(delay);
-                delay = (delay * 2).min(cfg.backoff_max);
-                continue;
-            }
-        }
-        stats.handshakes_ok.fetch_add(1, Ordering::Relaxed);
         if connected_before {
             stats.reconnects.fetch_add(1, Ordering::Relaxed);
         }
         connected_before = true;
         delay = cfg.backoff;
         loop {
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            match rx.recv_timeout(cfg.poll) {
-                Ok(bytes) => {
-                    if write_full(&mut stream, &bytes).is_err() {
-                        continue 'dial; // peer gone: back to the dial loop
-                    }
-                    stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    stats.bytes_sent.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            if unsent.is_empty() {
+                match rx.recv() {
+                    Ok(bytes) => unsent.push_back(bytes),
+                    Err(mpsc::RecvError) => return,
                 }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
             }
+            if write_full(&mut stream, &unsent[0]).is_err() {
+                continue 'dial; // peer gone: back to the dial loop
+            }
+            stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+            stats.bytes_sent.fetch_add(unsent[0].len() as u64, Ordering::Relaxed);
+            unsent.pop_front();
         }
     }
 }
@@ -471,6 +627,7 @@ trait ClusterOps<P: Payload>: Send {
     fn addr(&self, node: usize) -> SocketAddr;
     fn submit(&mut self, payload: P);
     fn decided(&self, node: usize) -> Vec<(u64, P, SimTime)>;
+    fn wait_decided(&self, node: usize, target: usize, timeout: Duration) -> bool;
     fn kill(&mut self, node: usize);
     fn reboot(&mut self, node: usize) -> io::Result<()>;
     fn is_down(&self, node: usize) -> bool;
@@ -536,49 +693,49 @@ where
     }
 
     fn spawn_node(&self, id: NodeIdx, actor: A, listener: TcpListener) -> Node<A> {
-        let stop = Arc::new(AtomicBool::new(false));
+        let conns = Arc::new(Conns::default());
         let (inbox_tx, inbox_rx) = mpsc::channel::<Event<A::Msg>>();
-        let decided = Arc::new(Mutex::new(Vec::new()));
+        let feed = Arc::new(Feed::new());
         let mut joins = Vec::new();
 
-        let mut peers: Vec<Option<mpsc::Sender<Arc<Vec<u8>>>>> = Vec::with_capacity(self.n);
+        let mut peers: Vec<Option<mpsc::Sender<Frame>>> = Vec::with_capacity(self.n);
         for peer in 0..self.n {
             if peer == id {
                 peers.push(None);
                 continue;
             }
-            let (tx, rx) = mpsc::channel::<Arc<Vec<u8>>>();
+            let (tx, rx) = mpsc::channel::<Frame>();
             peers.push(Some(tx));
-            let (addrs, stop, stats, cfg, genesis) =
-                (self.addrs.clone(), stop.clone(), self.stats.clone(), self.cfg, self.genesis);
-            joins.push(thread::spawn(move || {
-                dialer_loop(id, peer, addrs, rx, stop, genesis, cfg, stats);
+            let (addrs, conns, stats, cfg, genesis) =
+                (self.addrs.clone(), conns.clone(), self.stats.clone(), self.cfg, self.genesis);
+            joins.push(spawn(move || {
+                dialer_loop(id, peer, addrs, rx, conns, genesis, cfg, stats);
             }));
         }
 
-        {
-            let (inbox, stop, stats, cfg, genesis, n) = (
+        let listener = {
+            let (inbox, conns, stats, cfg, genesis, n) = (
                 inbox_tx.clone(),
-                stop.clone(),
+                conns.clone(),
                 self.stats.clone(),
                 self.cfg,
                 self.genesis,
                 self.n,
             );
-            joins.push(thread::spawn(move || {
-                listener_loop::<A::Msg>(listener, id, n, inbox, stop, genesis, cfg, stats);
-            }));
-        }
+            spawn(move || {
+                listener_loop::<A::Msg>(listener, id, n, inbox, conns, genesis, cfg, stats);
+            })
+        };
 
         {
-            let (self_tx, stop, decided, cfg, epoch, n) =
-                (inbox_tx.clone(), stop.clone(), decided.clone(), self.cfg, self.epoch, self.n);
-            joins.push(thread::spawn(move || {
-                node_loop(actor, id, n, inbox_rx, peers, self_tx, decided, stop, cfg, epoch);
+            let (self_tx, feed, cfg, epoch, n) =
+                (inbox_tx.clone(), feed.clone(), self.cfg, self.epoch, self.n);
+            joins.push(spawn(move || {
+                node_loop(actor, id, n, inbox_rx, peers, self_tx, feed, cfg, epoch);
             }));
         }
 
-        Node { stop, inbox: inbox_tx, decided, joins, down: false }
+        Node { conns, inbox: inbox_tx, feed, joins, listener: Some(listener), down: false }
     }
 
     /// Opens (or reuses) the client connection to `node` and sends one
@@ -590,9 +747,8 @@ where
             stream.set_nodelay(true).ok();
             let hello = Hello { genesis: self.genesis, node: CLIENT_NODE };
             write_frame(&mut stream, &hello.encode(), self.cfg.max_frame)?;
-            let unstopped = AtomicBool::new(false);
-            let reply = read_frame_stoppable(&mut stream, self.cfg.max_frame, &unstopped)
-                .and_then(|b| Hello::decode(&b))?;
+            let reply =
+                read_frame(&mut stream, self.cfg.max_frame).and_then(|b| Hello::decode(&b))?;
             if reply.genesis != self.genesis {
                 return Err(WireError::GenesisMismatch {
                     ours: self.genesis,
@@ -630,19 +786,38 @@ where
     }
 
     fn decided(&self, node: usize) -> Vec<(u64, A::Payload, SimTime)> {
-        self.nodes[node].decided.lock().expect("decided lock").clone()
+        self.nodes[node].feed.snapshot()
+    }
+
+    fn wait_decided(&self, node: usize, target: usize, timeout: Duration) -> bool {
+        self.nodes[node].feed.wait(target, timeout)
     }
 
     fn kill(&mut self, node: usize) {
         if self.nodes[node].down {
             return;
         }
-        self.nodes[node].down = true;
-        self.nodes[node].stop.store(true, Ordering::Relaxed);
-        let _ = self.nodes[node].inbox.send(Event::Stop);
+        let addr = self.addr(node);
         self.clients[node] = None;
-        for join in self.nodes[node].joins.drain(..) {
+        let node = &mut self.nodes[node];
+        node.down = true;
+        // One stop event per kind of thread. The node loop takes `Stop`
+        // from its inbox and returns, which disconnects the dialers'
+        // channels; closing the registry fails every blocked socket
+        // read and write; the listener, blocked in `accept`, needs a
+        // connection to see the closed registry.
+        let _ = node.inbox.send(Event::Stop);
+        node.conns.close();
+        let poked = TcpStream::connect(addr).is_ok();
+        for join in node.joins.drain(..) {
             let _ = join.join();
+        }
+        // A listener that could not be poked (no descriptor or port
+        // left for the connection) stays in `accept`, detached, rather
+        // than hang the caller.
+        let listener = node.listener.take();
+        if let (true, Some(listener)) = (poked, listener) {
+            let _ = listener.join();
         }
     }
 
@@ -727,28 +902,20 @@ impl<P: Payload + 'static> RealHandle<P> {
         self.ops.is_down(node)
     }
 
-    /// Polls until `node` has at least `target` decided entries or
-    /// `timeout` elapses; true on success.
+    /// Blocks until `node` has at least `target` decided entries or
+    /// `timeout` elapses; true on success. The node loop wakes the
+    /// caller as soon as it delivers the entry.
     pub fn wait_decided(&self, node: usize, target: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.ops.decided(node).len() >= target {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_millis(2));
-        }
+        self.ops.wait_decided(node, target, timeout)
     }
 
     /// [`wait_decided`](RealHandle::wait_decided) across every alive
-    /// node.
+    /// node, all under one deadline.
     pub fn wait_all_decided(&self, target: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         (0..self.n).filter(|&i| !self.ops.is_down(i)).all(|i| {
             let left = deadline.saturating_duration_since(Instant::now());
-            self.wait_decided(i, target, left)
+            self.ops.wait_decided(i, target, left)
         })
     }
 
@@ -815,15 +982,4 @@ impl<P: Payload + 'static> RealRuntime<P> for NetRunner {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn genesis_digest_separates_clusters() {
-        let a = genesis_digest("pbft", 4, 1);
-        assert_eq!(a, genesis_digest("pbft", 4, 1));
-        assert_ne!(a, genesis_digest("pbft", 4, 2));
-        assert_ne!(a, genesis_digest("pbft", 5, 1));
-        assert_ne!(a, genesis_digest("ibft", 4, 1));
-    }
-}
+mod tests;

@@ -22,7 +22,6 @@
 
 use pbc_store::{read_full, write_full};
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// First bytes of every handshake: "PBCN".
 pub const WIRE_MAGIC: u32 = 0x5042_434E;
@@ -74,8 +73,6 @@ pub enum WireError {
     /// A frame body that failed to decode as a message or handshake
     /// (bad tag, truncated fields, or trailing bytes).
     Malformed,
-    /// The read was abandoned because the node is shutting down.
-    Stopped,
     /// An underlying socket error.
     Io(io::Error),
 }
@@ -94,7 +91,6 @@ impl std::fmt::Display for WireError {
                 write!(f, "genesis mismatch: ours {ours:#x}, peer {theirs:#x}")
             }
             WireError::Malformed => write!(f, "malformed frame body"),
-            WireError::Stopped => write!(f, "read abandoned: node stopping"),
             WireError::Io(e) => write!(f, "socket error: {e}"),
         }
     }
@@ -159,46 +155,6 @@ pub fn read_frame<R: io::Read>(r: &mut R, max: usize) -> Result<Vec<u8>, WireErr
     let len = frame_len(header, max)?;
     let mut body = vec![0u8; len];
     read_full(r, &mut body)?;
-    Ok(body)
-}
-
-/// [`read_frame`] for a socket with a read timeout: timeouts
-/// (`WouldBlock`/`TimedOut`) re-check `stop` and resume *without losing
-/// fill progress*, so a slow frame is reassembled correctly while a
-/// stopping node still gets out promptly. This is the stop-aware
-/// sibling of [`read_full`] — the loop shape is identical, with the
-/// shutdown check folded into the timeout tick.
-pub fn read_frame_stoppable<R: io::Read>(
-    r: &mut R,
-    max: usize,
-    stop: &AtomicBool,
-) -> Result<Vec<u8>, WireError> {
-    fn fill<R: io::Read>(r: &mut R, buf: &mut [u8], stop: &AtomicBool) -> Result<(), WireError> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            if stop.load(Ordering::Relaxed) {
-                return Err(WireError::Stopped);
-            }
-            match r.read(&mut buf[filled..]) {
-                Ok(0) => return Err(WireError::Truncated),
-                Ok(n) => filled += n,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::Interrupted
-                            | io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) => return Err(WireError::Io(e)),
-            }
-        }
-        Ok(())
-    }
-    let mut header = [0u8; 4];
-    fill(r, &mut header, stop)?;
-    let len = frame_len(header, max)?;
-    let mut body = vec![0u8; len];
-    fill(r, &mut body, stop)?;
     Ok(body)
 }
 
@@ -312,18 +268,5 @@ mod tests {
         let mut long = h.encode();
         long.push(0);
         assert!(matches!(Hello::decode(&long), Err(WireError::Malformed)));
-    }
-
-    #[test]
-    fn stoppable_read_aborts_on_stop() {
-        // A reader that never yields bytes, only timeouts.
-        struct Stalled;
-        impl io::Read for Stalled {
-            fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
-                Err(io::Error::new(io::ErrorKind::WouldBlock, "stall"))
-            }
-        }
-        let stop = AtomicBool::new(true);
-        assert!(matches!(read_frame_stoppable(&mut Stalled, 64, &stop), Err(WireError::Stopped)));
     }
 }

@@ -27,7 +27,7 @@ pub mod timer;
 
 pub use cluster::{genesis_digest, NetConfig, NetRunner, RealHandle, RealStats, RealStatsSnap};
 pub use frame::{
-    frame, frame_len, read_frame, read_frame_stoppable, write_frame, Hello, WireError, CLIENT_NODE,
-    DEFAULT_MAX_FRAME, WIRE_MAGIC, WIRE_VERSION,
+    frame, frame_len, read_frame, write_frame, Hello, WireError, CLIENT_NODE, DEFAULT_MAX_FRAME,
+    WIRE_MAGIC, WIRE_VERSION,
 };
 pub use timer::TimerQueue;
