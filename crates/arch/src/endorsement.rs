@@ -182,17 +182,24 @@ impl EndorsingPipeline {
     }
 
     /// Verifies every endorsement signature; `Err` names the first org
-    /// (in endorsement order) whose signature failed.
+    /// (in endorsement order) whose signature failed. `Ok` carries the
+    /// digest of each endorsed result, in endorsement order, as computed
+    /// *here* from the result the endorsement carries — the one digest
+    /// the verifying side takes, and the only one it may trust.
     ///
     /// The Schnorr mode checks the whole set with one batched
     /// [`verify_batch`] call and maps its pinpointed culprit indices
     /// back to orgs; the HMAC mode verifies against the directory
     /// entry-wise.
-    pub fn verify_signatures(&self, endorsements: &[Endorsement]) -> Result<(), EndorseError> {
+    pub fn verify_signatures(
+        &self,
+        endorsements: &[Endorsement],
+    ) -> Result<Vec<pbc_crypto::Hash>, EndorseError> {
+        let digests: Vec<pbc_crypto::Hash> =
+            endorsements.iter().map(|e| result_digest(&e.result)).collect();
         match &self.keys {
             EndorserKeys::Hmac(directory) => {
-                for e in endorsements {
-                    let digest = result_digest(&e.result);
+                for (e, digest) in endorsements.iter().zip(&digests) {
                     let ok = match &e.signature {
                         EndorseSig::Hmac(sig) => directory.verify(e.org.0 as u64, &digest.0, sig),
                         EndorseSig::Schnorr(_) => false,
@@ -201,11 +208,8 @@ impl EndorsingPipeline {
                         return Err(EndorseError::BadSignature(e.org));
                     }
                 }
-                Ok(())
             }
             EndorserKeys::Schnorr(keys) => {
-                let digests: Vec<pbc_crypto::Hash> =
-                    endorsements.iter().map(|e| result_digest(&e.result)).collect();
                 let mut items = Vec::with_capacity(endorsements.len());
                 for (e, digest) in endorsements.iter().zip(&digests) {
                     let sig = match &e.signature {
@@ -217,89 +221,87 @@ impl EndorsingPipeline {
                     items.push(BatchItem { key, msg: &digest.0, sig });
                 }
                 verify_batch(&items)
-                    .map_err(|bad| EndorseError::BadSignature(endorsements[bad[0]].org))
+                    .map_err(|bad| EndorseError::BadSignature(endorsements[bad[0]].org))?;
             }
         }
+        Ok(digests)
     }
 
     /// Checks the policy: at least `required` signature-valid endorsements
     /// with identical result digests. Returns the agreed result.
     pub fn check_policy(&self, endorsements: &[Endorsement]) -> Result<ExecResult, EndorseError> {
-        self.verify_signatures(endorsements)?;
-        self.check_matching(endorsements).cloned()
+        let digests = self.verify_signatures(endorsements)?;
+        self.check_matching(endorsements, &digests).cloned()
     }
 
-    /// The digest-agreement half of the policy (signatures assumed
-    /// already verified): at least `required` identical result digests.
+    /// The digest-agreement half of the policy: at least `required`
+    /// identical result digests. `digests` are the verifier's own, one
+    /// per endorsement ([`EndorsingPipeline::verify_signatures`]). The
+    /// largest agreeing set wins, the earliest endorsed among equals.
     fn check_matching<'a>(
         &self,
         endorsements: &'a [Endorsement],
+        digests: &[pbc_crypto::Hash],
     ) -> Result<&'a ExecResult, EndorseError> {
-        // Group by digest, take the largest agreeing set.
-        let mut counts: std::collections::HashMap<pbc_crypto::Hash, usize> =
-            std::collections::HashMap::new();
-        for e in endorsements {
-            *counts.entry(result_digest(&e.result)).or_default() += 1;
+        let (mut matching, mut agreed) = (0, 0);
+        for (i, digest) in digests.iter().enumerate() {
+            // A digest is counted where it first occurs.
+            if !digests[..i].contains(digest) {
+                let count = digests[i..].iter().filter(|d| *d == digest).count();
+                if count > matching {
+                    (matching, agreed) = (count, i);
+                }
+            }
         }
-        let (best_digest, matching) =
-            counts.into_iter().max_by_key(|(_, c)| *c).expect("non-empty endorsement set");
         if matching < self.policy.required {
             return Err(EndorseError::PolicyNotSatisfied {
                 matching,
                 required: self.policy.required,
             });
         }
-        let agreed = endorsements
-            .iter()
-            .find(|e| result_digest(&e.result) == best_digest)
-            .expect("digest came from this set");
-        Ok(&agreed.result)
+        Ok(&endorsements[agreed].result)
     }
 
     /// Signature validity per transaction for a whole block of
-    /// endorsement sets. The Schnorr mode flattens every endorsement of
-    /// every transaction into one [`verify_batch`] call; a transaction
-    /// is bad iff the batch pinpoints one of *its* endorsements.
-    fn verify_block_signatures(&self, per_tx: &[Vec<Endorsement>]) -> Vec<bool> {
+    /// endorsement sets: the verifier's result digests of a transaction
+    /// whose signatures all hold, `None` for one with a bad signature.
+    /// The Schnorr mode flattens every endorsement of every transaction
+    /// into one [`verify_batch`] call; a transaction is bad iff the
+    /// batch pinpoints one of *its* endorsements.
+    fn verify_block_signatures(
+        &self,
+        per_tx: &[Vec<Endorsement>],
+    ) -> Vec<Option<Vec<pbc_crypto::Hash>>> {
         match &self.keys {
             EndorserKeys::Hmac(_) => {
-                per_tx.iter().map(|e| self.verify_signatures(e).is_ok()).collect()
+                per_tx.iter().map(|e| self.verify_signatures(e).ok()).collect()
             }
             EndorserKeys::Schnorr(keys) => {
+                // Digests first, so the batch items can borrow their
+                // bytes; `owner[i]` is the transaction item `i` belongs to.
+                let digests: Vec<Vec<pbc_crypto::Hash>> = per_tx
+                    .iter()
+                    .map(|endorsements| {
+                        endorsements.iter().map(|e| result_digest(&e.result)).collect()
+                    })
+                    .collect();
                 let mut ok = vec![true; per_tx.len()];
-                // Flatten the structurally valid endorsements. Digests
-                // are collected first so the batch items can borrow
-                // their bytes; `owner[i]` is the transaction item `i`
-                // belongs to.
                 let mut owner: Vec<usize> = Vec::new();
-                let mut digests: Vec<pbc_crypto::Hash> = Vec::new();
+                let mut items = Vec::new();
                 for (t, endorsements) in per_tx.iter().enumerate() {
-                    for e in endorsements {
-                        if matches!(&e.signature, EndorseSig::Schnorr(_))
-                            && keys.get(e.org.0 as usize).is_some()
-                        {
-                            owner.push(t);
-                            digests.push(result_digest(&e.result));
-                        } else {
+                    for (e, digest) in endorsements.iter().zip(&digests[t]) {
+                        match (&e.signature, keys.get(e.org.0 as usize)) {
+                            (EndorseSig::Schnorr(sig), Some(key)) => {
+                                owner.push(t);
+                                items.push(BatchItem {
+                                    key: key.public,
+                                    msg: &digest.0,
+                                    sig: *sig,
+                                });
+                            }
                             // Unknown org or wrong scheme: structurally
                             // invalid, fail the tx without batching it.
-                            ok[t] = false;
-                        }
-                    }
-                }
-                let mut items = Vec::with_capacity(owner.len());
-                let mut flat = 0usize;
-                for endorsements in per_tx {
-                    for e in endorsements {
-                        if let (EndorseSig::Schnorr(sig), Some(key)) =
-                            (&e.signature, keys.get(e.org.0 as usize))
-                        {
-                            items.push(BatchItem {
-                                key: key.public,
-                                msg: &digests[flat].0,
-                                sig: *sig,
-                            });
-                            flat += 1;
+                            _ => ok[t] = false,
                         }
                     }
                 }
@@ -308,7 +310,7 @@ impl EndorsingPipeline {
                         ok[owner[idx]] = false;
                     }
                 }
-                ok
+                digests.into_iter().zip(ok).map(|(d, ok)| ok.then_some(d)).collect()
             }
         }
     }
@@ -322,21 +324,12 @@ impl ExecutionPipeline for EndorsingPipeline {
         // single weighted multi-exponentiation (plus pinpointing only
         // when something actually fails).
         let per_tx: Vec<Vec<Endorsement>> = txs.iter().map(|tx| self.endorse(tx)).collect();
-        let sig_ok = self.verify_block_signatures(&per_tx);
+        let verified = self.verify_block_signatures(&per_tx);
         let mut endorsed: Vec<Option<&ExecResult>> = Vec::with_capacity(txs.len());
-        for (endorsements, ok) in per_tx.iter().zip(sig_ok) {
-            let verdict = if ok {
-                self.check_matching(endorsements)
-            } else {
-                Err(EndorseError::BadSignature(endorsements[0].org))
-            };
-            match verdict {
-                Ok(result) => endorsed.push(Some(result)),
-                Err(_) => {
-                    self.endorsement_rejections += 1;
-                    endorsed.push(None);
-                }
-            }
+        for (endorsements, digests) in per_tx.iter().zip(verified) {
+            let agreed = digests.and_then(|d| self.check_matching(endorsements, &d).ok());
+            self.endorsement_rejections += u64::from(agreed.is_none());
+            endorsed.push(agreed);
         }
         // Order + validate (plain Fabric semantics).
         let (height, txs) = seal_block(&mut self.ledger, seal, txs);
@@ -434,6 +427,40 @@ mod tests {
             p.check_policy(&endorsements),
             Err(EndorseError::BadSignature(EnterpriseId(0)))
         ));
+    }
+
+    /// The verifier signs off on the result it is handed, not on the one
+    /// that was signed: a result changed after signing fails its
+    /// signature, under either scheme, whatever its endorser computed.
+    #[test]
+    fn result_mutated_after_signing_rejected() {
+        let policy = || EndorsementPolicy::new(orgs(3), 2);
+        for p in [
+            EndorsingPipeline::new(policy(), 9, seeded()),
+            EndorsingPipeline::new_schnorr(policy(), 9, seeded()),
+        ] {
+            let mut endorsements = p.endorse(&transfer(1, 10));
+            let honest = p.verify_signatures(&endorsements).expect("untouched endorsements verify");
+            assert!(honest.iter().all(|d| *d == honest[0]), "honest orgs agree");
+            endorsements[1].result.write_set[0].1 = Some(balance_value(1_000_000));
+            assert_eq!(
+                p.check_policy(&endorsements),
+                Err(EndorseError::BadSignature(EnterpriseId(1)))
+            );
+            assert_eq!(p.verify_block_signatures(&[endorsements]), vec![None]);
+        }
+    }
+
+    #[test]
+    fn equal_sized_agreeing_sets_resolve_to_the_earliest_endorsed() {
+        // 1-of-2 with one liar: two sets of one. The pick must not depend
+        // on hash-map iteration order.
+        let mut p = EndorsingPipeline::new(EndorsementPolicy::new(orgs(2), 1), 9, seeded());
+        p.byzantine_orgs.push(EnterpriseId(0));
+        let endorsements = p.endorse(&transfer(1, 10));
+        for _ in 0..8 {
+            assert_eq!(p.check_policy(&endorsements).unwrap(), endorsements[0].result);
+        }
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! `e12_block_path` measures what a replica does with a decided batch:
 //! transaction clone, Merkle root, seal, one OXII block, and the
 //! inline-vs-threads crossover behind `pbc-arch`'s `par_map`.
+//! `e12_persist` measures `persist()` on a PBFT `DurableNet` at decided-log
+//! length 8 / 64 / 512: a call writes what changed, so it costs the same
+//! at every length.
 //!
 //! Set `E12_SMOKE=1` to run every workload once with a minimal budget
 //! (the CI bench-smoke job): catches scheduler regressions that crash,
@@ -19,6 +22,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pbc_arch::pipeline::{seal_block, spin};
 use pbc_arch::{BlockSeal, ExecutionPipeline, OxiiPipeline};
+use pbc_bench::persist::{persist_at, Disk};
 use pbc_bench::simcore::{
     broadcast_flood, cancel_churn, chaos_run, chaos_storm, chaos_storm_par, consensus_run, Proto,
 };
@@ -345,6 +349,32 @@ fn bench_block_path(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_persist(c: &mut Criterion) {
+    header(
+        "E12j: persist() on a growing decided log",
+        "a checkpoint record extends the one before it, so one persist() of a PBFT DurableNet \
+         (n=4, two new batches) costs and writes the same at log length 8, 64 and 512",
+    );
+    let mut g = c.benchmark_group("e12_persist");
+    g.sample_size(if smoke() { 1 } else { 10 });
+    let real = std::env::temp_dir().join(format!("pbc-e12-persist-{}", std::process::id()));
+    for disk in [Disk::Fault, Disk::Real(real.clone())] {
+        for len in if smoke() { vec![8usize] } else { vec![8, 64, 512] } {
+            let mut bytes = 0;
+            g.bench_function(BenchmarkId::new(disk.label(), len), |b| {
+                b.iter_custom(|iters| {
+                    let (mean, appended) = persist_at(&disk, len, iters as usize);
+                    bytes = appended;
+                    mean * iters as u32
+                })
+            });
+            println!("   {}/{len}: {} checkpoint bytes per call", disk.label(), fmt_u64(bytes));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&real);
+    g.finish();
+}
+
 criterion_group!(
     e12,
     bench_consensus,
@@ -355,6 +385,7 @@ criterion_group!(
     bench_storm_lanes,
     bench_depgraph,
     bench_payload,
-    bench_block_path
+    bench_block_path,
+    bench_persist
 );
 criterion_main!(e12);

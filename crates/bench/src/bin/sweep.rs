@@ -510,12 +510,39 @@ fn store_smoke(out_path: &str) {
         audit.txs_replayed,
     );
 
+    // -- 4. persist() on a growing decided log ------------------------
+    // The bytes are a count (host-independent; CI gates on their ratio),
+    // the milliseconds are this host's disk.
+    let mut persist_rows = String::new();
+    let mut bytes_at = Vec::new();
+    for len in [8usize, 64, 512] {
+        let disk = pbc_bench::persist::Disk::Real(root.join(format!("persist{len}")));
+        let (took, bytes) = pbc_bench::persist::persist_at(&disk, len, 3);
+        let ms = took.as_secs_f64() * 1e3;
+        println!(
+            "store persist: pbft x 4 on real disks, decided log {len}, two new batches: \
+             {ms:.3} ms per call, {bytes} bytes appended to the four checkpoint logs"
+        );
+        persist_rows.push_str(&format!(
+            "  \"persist_ms_at_{len}\": {ms:.3},\n  \"checkpoint_bytes_at_{len}\": {bytes},\n"
+        ));
+        bytes_at.push(bytes);
+    }
+    assert!(
+        bytes_at[2] <= 3 * bytes_at[0],
+        "persist() writes what exists, not what changed: {} checkpoint bytes per call at a \
+         decided log of 512, {} at 8",
+        bytes_at[2],
+        bytes_at[0],
+    );
+
     let json = format!(
-        "{{\n  \"schema\": \"pbc-store-smoke-v1\",\n  \"blocks\": {BLOCKS},\n  \
+        "{{\n  \"schema\": \"pbc-store-smoke-v2\",\n  \"blocks\": {BLOCKS},\n  \
          \"block_bytes\": {},\n  \"append_secs\": {append_secs:.6},\n  \
          \"appends_per_sec\": {append_rate:.0},\n  \"recover_secs\": {recover_secs:.6},\n  \
          \"recovered_blocks\": {},\n  \"wal_torn_tail_repaired\": {},\n  \
-         \"e2e_committed\": {},\n  \"e2e_audit_heights\": {},\n  \"e2e_secs\": {e2e_secs:.6}\n}}\n",
+         \"e2e_committed\": {},\n  \"e2e_audit_heights\": {},\n  \"e2e_secs\": {e2e_secs:.6},\n\
+         {persist_rows}  \"persist_samples\": 3\n}}\n",
         payload.len(),
         rec.blocks.len(),
         rec.wal_torn_tail,

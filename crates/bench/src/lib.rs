@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 
 pub mod e2e;
+pub mod persist;
 pub mod real;
 pub mod simcore;
 pub mod vm;

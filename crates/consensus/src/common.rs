@@ -136,6 +136,11 @@ impl<P: Clone> DecidedLog<P> {
         self.next_seq
     }
 
+    /// Decisions waiting behind a gap, in sequence order.
+    pub fn buffered(&self) -> impl Iterator<Item = (u64, &P, SimTime)> {
+        self.buffer.iter().map(|(seq, (payload, time))| (*seq, payload, *time))
+    }
+
     /// Every known decision — the delivered prefix plus buffered
     /// out-of-order decisions — for checkpointing to stable storage.
     pub fn snapshot(&self) -> Vec<(u64, P, SimTime)> {
@@ -231,6 +236,42 @@ pub mod quorum {
     /// MinBFT quorum `f+1`.
     pub fn a2m_quorum(n: usize) -> usize {
         a2m_f(n) + 1
+    }
+}
+
+/// The record-codec checks every protocol's `Durable` impl must pass.
+#[cfg(test)]
+pub(crate) mod testing {
+    use pbc_sim::Durable;
+
+    /// Folds `records` onto a blank state, requiring each to apply.
+    pub(crate) fn fold<A: Durable>(actor: &A, records: &[Vec<u8>]) -> A::Stable {
+        let mut stable = A::blank_stable(actor);
+        for (i, record) in records.iter().enumerate() {
+            A::apply(actor, &mut stable, record).unwrap_or_else(|| panic!("record {i} applies"));
+        }
+        stable
+    }
+
+    /// The whole durable state of `actor` as one record.
+    pub(crate) fn snapshot<A: Durable>(actor: &A) -> Vec<u8> {
+        actor.encode_since(&mut A::Mark::default())
+    }
+
+    /// A snapshot of `actor` decodes, re-encodes to the same bytes
+    /// (canonical roundtrip), and is rejected when truncated or padded.
+    /// Returns what it decoded to.
+    pub(crate) fn assert_snapshot_codec<A: Durable>(actor: &A) -> A::Stable {
+        let bytes = snapshot(actor);
+        let back = fold(actor, std::slice::from_ref(&bytes));
+        let again = snapshot(&A::restore(actor, fold(actor, std::slice::from_ref(&bytes))));
+        assert_eq!(again, bytes, "canonical roundtrip");
+        let mut scratch = A::blank_stable(actor);
+        assert!(A::apply(actor, &mut scratch, &bytes[..bytes.len() - 1]).is_none(), "truncated");
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(A::apply(actor, &mut scratch, &padded).is_none(), "padded");
+        back
     }
 }
 

@@ -445,6 +445,8 @@ pub struct HsStable<P> {
 
 impl<P: crate::common::PersistPayload> Durable for HotStuffReplica<P> {
     type Stable = HsStable<P>;
+    /// Every record is the whole state.
+    type Mark = ();
 
     fn checkpoint(&self) -> HsStable<P> {
         let mut blocks: Vec<(u64, u64, Option<P>, bool)> = self
@@ -489,7 +491,8 @@ impl<P: crate::common::PersistPayload> Durable for HotStuffReplica<P> {
         r
     }
 
-    fn encode_stable(stable: &HsStable<P>) -> Vec<u8> {
+    fn encode_since(&self, _mark: &mut ()) -> Vec<u8> {
+        let stable = self.checkpoint();
         let mut e = pbc_types::encode::Encoder::new();
         e.u64(stable.view);
         e.u64(stable.blocks.len() as u64);
@@ -521,7 +524,7 @@ impl<P: crate::common::PersistPayload> Durable for HotStuffReplica<P> {
         e.finish()
     }
 
-    fn decode_stable(_crashed: &Self, bytes: &[u8]) -> Option<HsStable<P>> {
+    fn apply(_crashed: &Self, stable: &mut HsStable<P>, bytes: &[u8]) -> Option<()> {
         let mut d = pbc_types::encode::Decoder::new(bytes);
         let view = d.u64()?;
         let n_blocks = d.u64()? as usize;
@@ -558,7 +561,7 @@ impl<P: crate::common::PersistPayload> Durable for HotStuffReplica<P> {
             let time = d.u64()?;
             decided.push((seq, payload, time));
         }
-        d.is_empty().then_some(HsStable {
+        *stable = d.is_empty().then_some(HsStable {
             view,
             blocks,
             prepare_qc,
@@ -567,7 +570,8 @@ impl<P: crate::common::PersistPayload> Durable for HotStuffReplica<P> {
             next_commit_seq,
             nonce,
             decided,
-        })
+        })?;
+        Some(())
     }
 
     fn blank_stable(_crashed: &Self) -> HsStable<P> {
@@ -729,16 +733,8 @@ mod tests {
         for i in 0..4 {
             let stable = net.actor(i).checkpoint();
             assert!(!stable.decided.is_empty(), "node {i} decided something");
-            let bytes = HotStuffReplica::<u64>::encode_stable(&stable);
-            let back = HotStuffReplica::decode_stable(net.actor(i), &bytes).expect("decodes");
-            assert_eq!(HotStuffReplica::<u64>::encode_stable(&back), bytes, "canonical roundtrip");
+            let back = crate::common::testing::assert_snapshot_codec(net.actor(i));
             assert_eq!(back.locked_qc, stable.locked_qc, "lock survives");
-            assert!(
-                HotStuffReplica::decode_stable(net.actor(i), &bytes[..bytes.len() - 1]).is_none()
-            );
-            let mut padded = bytes.clone();
-            padded.push(0);
-            assert!(HotStuffReplica::decode_stable(net.actor(i), &padded).is_none());
         }
     }
 }

@@ -514,6 +514,8 @@ pub struct MinBftStable<P> {
 
 impl<P: crate::common::PersistPayload> Durable for MinBftReplica<P> {
     type Stable = MinBftStable<P>;
+    /// Every record is the whole state.
+    type Mark = ();
 
     fn checkpoint(&self) -> MinBftStable<P> {
         MinBftStable {
@@ -544,7 +546,8 @@ impl<P: crate::common::PersistPayload> Durable for MinBftReplica<P> {
         r
     }
 
-    fn encode_stable(stable: &MinBftStable<P>) -> Vec<u8> {
+    fn encode_since(&self, _mark: &mut ()) -> Vec<u8> {
+        let stable = self.checkpoint();
         let mut e = pbc_types::encode::Encoder::new();
         e.u64(stable.view).u64(stable.usig_counter);
         // The verifier's keys re-derive from (a2m_seed, n); only the
@@ -591,7 +594,7 @@ impl<P: crate::common::PersistPayload> Durable for MinBftReplica<P> {
         e.finish()
     }
 
-    fn decode_stable(crashed: &Self, bytes: &[u8]) -> Option<MinBftStable<P>> {
+    fn apply(crashed: &Self, stable: &mut MinBftStable<P>, bytes: &[u8]) -> Option<()> {
         let mut d = pbc_types::encode::Decoder::new(bytes);
         let view = d.u64()?;
         let usig_counter = d.u64()?;
@@ -639,14 +642,15 @@ impl<P: crate::common::PersistPayload> Durable for MinBftReplica<P> {
             let time = d.u64()?;
             decided.push((seq, payload, time));
         }
-        d.is_empty().then_some(MinBftStable {
+        *stable = d.is_empty().then_some(MinBftStable {
             view,
             usig_counter,
             verifier,
             slots,
             delivered_digests,
             decided,
-        })
+        })?;
+        Some(())
     }
 
     fn blank_stable(crashed: &Self) -> MinBftStable<P> {
@@ -843,14 +847,8 @@ mod tests {
         for i in 0..3 {
             let stable = net.actor(i).checkpoint();
             assert!(!stable.decided.is_empty(), "node {i} decided something");
-            let bytes = MinBftReplica::<u64>::encode_stable(&stable);
-            let back = MinBftReplica::decode_stable(net.actor(i), &bytes).expect("decodes");
-            assert_eq!(MinBftReplica::<u64>::encode_stable(&back), bytes, "canonical roundtrip");
+            let back = crate::common::testing::assert_snapshot_codec(net.actor(i));
             assert_eq!(back.usig_counter, stable.usig_counter, "USIG counter survives");
-            assert!(MinBftReplica::decode_stable(net.actor(i), &bytes[..bytes.len() - 1]).is_none());
-            let mut padded = bytes.clone();
-            padded.push(0);
-            assert!(MinBftReplica::decode_stable(net.actor(i), &padded).is_none());
         }
     }
 }

@@ -467,6 +467,11 @@ where
 pub struct DurableNet<A: OrderingActor + Durable, N: SimNet<A> = Network<A>> {
     net: N,
     stores: Vec<NodeStore>,
+    /// What each node's last checkpoint record covers: the next record
+    /// says what changed since. Back at the default — and the next
+    /// record a snapshot — whenever the store cannot vouch for the
+    /// chain ([`NodeStore::can_extend`]).
+    marks: Vec<A::Mark>,
     /// Nodes currently down via `CrashAmnesia` (their restart must go
     /// through disk recovery, not plain resume).
     amnesiac: Vec<bool>,
@@ -510,6 +515,7 @@ where
         DurableNet {
             net,
             stores,
+            marks: (0..n).map(|_| A::Mark::default()).collect(),
             amnesiac: vec![false; n],
             fault_seq: 0,
             recoveries: Vec::new(),
@@ -517,27 +523,48 @@ where
         }
     }
 
-    /// Flushes one replica's checkpoint and decided blocks to its store.
+    /// Flushes one replica's checkpoint and decided blocks to its store:
+    /// one checkpoint record saying what changed since the last one (a
+    /// snapshot when there is no last one to trust), the decided blocks
+    /// the store does not hold yet, one sync.
     ///
     /// Write or sync errors are swallowed deliberately: a failed fsync
     /// leaves the data vulnerable, it does not stop the replica — that
     /// exposure is exactly the fault model the store exists to survive.
+    /// The store remembers that it failed, and the next record is a
+    /// snapshot.
     fn persist_node(&mut self, node: NodeIdx) {
-        let stable = self.net.actor(node).checkpoint();
-        let bytes = A::encode_stable(&stable);
-        let _ = self.stores[node].put_checkpoint(&bytes);
-        let decided: Vec<(u64, Vec<u8>)> = self
-            .net
-            .actor(node)
-            .log()
-            .delivered()
-            .iter()
-            .map(|(seq, p, _)| (*seq, p.to_bytes()))
-            .collect();
-        for (seq, payload) in decided {
-            let _ = self.stores[node].append_block(seq, &payload);
+        let store = &mut self.stores[node];
+        let mark = &mut self.marks[node];
+        if !store.can_extend() {
+            *mark = A::Mark::default();
         }
-        let _ = self.stores[node].sync();
+        let actor = self.net.actor(node);
+        // From the default mark a record is the whole state.
+        let snapshot = *mark == A::Mark::default();
+        let record = actor.encode_since(mark);
+        let _ =
+            if snapshot { store.put_checkpoint(&record) } else { store.extend_checkpoint(&record) };
+        for (seq, payload, _) in actor.log().delivered() {
+            if !store.has_block(*seq) {
+                let _ = store.append_block(*seq, &payload.to_bytes());
+            }
+        }
+        let _ = store.sync();
+    }
+
+    /// The stable state a disk recovery hands to `restore`: the records
+    /// that survived, folded in order onto a blank state for as long as
+    /// each one applies.
+    fn recovered_stable(&self, node: NodeIdx, rec: &Recovery) -> A::Stable {
+        let actor = self.net.actor(node);
+        let mut stable = A::blank_stable(actor);
+        for record in rec.checkpoint.iter().chain(&rec.extensions) {
+            if A::apply(actor, &mut stable, record).is_none() {
+                break;
+            }
+        }
+        stable
     }
 
     /// What each disk recovery found and repaired, in the order the
@@ -672,11 +699,7 @@ where
                 self.amnesiac[*node] = false;
                 let stable = match self.stores[*node].reopen() {
                     Ok(rec) => {
-                        let stable = rec
-                            .checkpoint
-                            .as_deref()
-                            .and_then(|b| A::decode_stable(self.net.actor(*node), b))
-                            .unwrap_or_else(|| A::blank_stable(self.net.actor(*node)));
+                        let stable = self.recovered_stable(*node, &rec);
                         self.recoveries.push((*node, rec));
                         stable
                     }

@@ -308,6 +308,8 @@ pub struct PaxosStable<P> {
 
 impl<P: crate::common::PersistPayload> Durable for PaxosNode<P> {
     type Stable = PaxosStable<P>;
+    /// Every record is the whole state.
+    type Mark = ();
 
     fn checkpoint(&self) -> PaxosStable<P> {
         PaxosStable {
@@ -328,7 +330,8 @@ impl<P: crate::common::PersistPayload> Durable for PaxosNode<P> {
         node
     }
 
-    fn encode_stable(stable: &PaxosStable<P>) -> Vec<u8> {
+    fn encode_since(&self, _mark: &mut ()) -> Vec<u8> {
+        let stable = self.checkpoint();
         let mut e = pbc_types::encode::Encoder::new();
         e.u64(stable.promised);
         e.u64(stable.accepted.len() as u64);
@@ -348,7 +351,7 @@ impl<P: crate::common::PersistPayload> Durable for PaxosNode<P> {
         e.finish()
     }
 
-    fn decode_stable(_crashed: &Self, bytes: &[u8]) -> Option<PaxosStable<P>> {
+    fn apply(_crashed: &Self, stable: &mut PaxosStable<P>, bytes: &[u8]) -> Option<()> {
         let mut d = pbc_types::encode::Decoder::new(bytes);
         let promised = d.u64()?;
         let n_accepted = d.u64()? as usize;
@@ -372,7 +375,13 @@ impl<P: crate::common::PersistPayload> Durable for PaxosNode<P> {
             let time = d.u64()?;
             decided.push((seq, payload, time));
         }
-        d.is_empty().then_some(PaxosStable { promised, accepted, delivered_digests, decided })
+        *stable = d.is_empty().then_some(PaxosStable {
+            promised,
+            accepted,
+            delivered_digests,
+            decided,
+        })?;
+        Some(())
     }
 
     fn blank_stable(_crashed: &Self) -> PaxosStable<P> {
@@ -506,15 +515,9 @@ mod tests {
             let stable = net.actor(i).checkpoint();
             assert!(!stable.decided.is_empty(), "node {i} decided something");
             assert!(!stable.accepted.is_empty(), "node {i} accepted values");
-            let bytes = PaxosNode::<u64>::encode_stable(&stable);
-            let back = PaxosNode::decode_stable(net.actor(i), &bytes).expect("decodes");
-            assert_eq!(PaxosNode::<u64>::encode_stable(&back), bytes, "canonical roundtrip");
+            let back = crate::common::testing::assert_snapshot_codec(net.actor(i));
             assert_eq!(back.promised, stable.promised);
             assert_eq!(back.accepted, stable.accepted);
-            assert!(PaxosNode::decode_stable(net.actor(i), &bytes[..bytes.len() - 1]).is_none());
-            let mut padded = bytes.clone();
-            padded.push(0);
-            assert!(PaxosNode::decode_stable(net.actor(i), &padded).is_none());
         }
     }
 }

@@ -650,8 +650,48 @@ fn decode_votes(
     Some(votes)
 }
 
+/// What one slot looked like when it was last persisted. Votes are only
+/// ever added and an accepted proposal is only replaced by one of a
+/// later view, so a slot changed exactly when its stamp did.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct SlotStamp {
+    /// `(view, digest)` of the accepted proposal.
+    accepted: Option<(u64, u64)>,
+    prepares: usize,
+    commits: usize,
+    sent_commit: bool,
+    decided: bool,
+}
+
+impl SlotStamp {
+    fn of<P>(slot: &Slot<P>) -> Self {
+        SlotStamp {
+            accepted: slot.accepted.as_ref().map(|(view, digest, _)| (*view, *digest)),
+            prepares: slot.prepares.values().map(HashSet::len).sum(),
+            commits: slot.commits.values().map(HashSet::len).sum(),
+            sent_commit: slot.sent_commit,
+            decided: slot.decided,
+        }
+    }
+}
+
+/// What a replica's last checkpoint record covers: enough to tell, from
+/// the replica alone and with nothing recorded in its message handlers,
+/// which slots were touched and which decisions are new.
+#[derive(Debug, Default, PartialEq)]
+pub struct PbftMark {
+    slots: BTreeMap<u64, SlotStamp>,
+    /// Length of the delivered prefix.
+    delivered: usize,
+    /// Decisions known beyond the delivered prefix, by slot.
+    buffered: Vec<u64>,
+    /// Size of `delivered_digests`.
+    digests: usize,
+}
+
 impl<P: crate::common::PersistPayload> Durable for PbftReplica<P> {
     type Stable = PbftStable<P>;
+    type Mark = PbftMark;
 
     fn checkpoint(&self) -> PbftStable<P> {
         PbftStable {
@@ -679,42 +719,91 @@ impl<P: crate::common::PersistPayload> Durable for PbftReplica<P> {
         r
     }
 
-    fn encode_stable(stable: &PbftStable<P>) -> Vec<u8> {
+    /// The record: the view; every slot whose stamp moved since `mark`,
+    /// whole except that a proposal the mark already covers is not
+    /// repeated; the decisions `mark` does not cover, a payload that is
+    /// its slot's accepted proposal by reference — each payload once.
+    fn encode_since(&self, mark: &mut PbftMark) -> Vec<u8> {
         let mut e = pbc_types::encode::Encoder::new();
-        e.u64(stable.view);
-        e.u64(stable.slots.len() as u64);
-        for (seq, slot) in &stable.slots {
+        e.u64(self.view);
+
+        // Slots are never dropped, so the mark's are a subsequence of
+        // the replica's and one pass pairs them up.
+        let mut touched = Vec::new();
+        let mut covered = mark.slots.iter().peekable();
+        for (seq, slot) in &self.slots {
+            let before = covered.next_if(|(s, _)| *s == seq).map(|(_, stamp)| *stamp);
+            let stamp = SlotStamp::of(slot);
+            if before != Some(stamp) {
+                touched.push((*seq, slot, before, stamp));
+            }
+        }
+        e.u64(touched.len() as u64);
+        for (seq, slot, before, stamp) in &touched {
             e.u64(*seq);
             match &slot.accepted {
+                None => e.tag(0),
+                Some(_) if before.is_some_and(|b| b.accepted == stamp.accepted) => e.tag(2),
                 Some((view, digest, payload)) => {
-                    e.tag(1).u64(*view).u64(*digest).bytes(&payload.to_bytes());
+                    e.tag(1).u64(*view).u64(*digest).bytes(&payload.to_bytes())
                 }
-                None => {
-                    e.tag(0);
-                }
-            }
+            };
             encode_votes(&mut e, &slot.prepares);
             encode_votes(&mut e, &slot.commits);
             e.tag(slot.sent_commit as u8).tag(slot.decided as u8);
         }
-        let mut digests: Vec<u64> = stable.delivered_digests.iter().copied().collect();
-        digests.sort_unstable();
-        e.u64(digests.len() as u64);
-        for d in digests {
-            e.u64(d);
+        mark.slots.extend(touched.iter().map(|(seq, _, _, stamp)| (*seq, *stamp)));
+
+        let delivered = self.log.delivered();
+        let fresh: Vec<(u64, &P, SimTime)> = delivered[mark.delivered.min(delivered.len())..]
+            .iter()
+            .map(|(seq, payload, time)| (*seq, payload, *time))
+            .chain(self.log.buffered())
+            .filter(|(seq, ..)| !mark.buffered.contains(seq))
+            .collect();
+        // Every decision adds its digest to `delivered_digests`, so the
+        // set is normally implied; when the counts say otherwise (one
+        // payload decided in two slots) it is written out whole.
+        let mut fresh_digests: Vec<u64> = fresh.iter().map(|(_, p, _)| p.digest_u64()).collect();
+        fresh_digests.sort_unstable();
+        fresh_digests.dedup();
+        let implied = fresh_digests.len() == fresh.len()
+            && self.delivered_digests.len() == mark.digests + fresh.len()
+            && fresh_digests.iter().all(|d| self.delivered_digests.contains(d));
+        if implied {
+            e.tag(0);
+        } else {
+            let mut digests: Vec<u64> = self.delivered_digests.iter().copied().collect();
+            digests.sort_unstable();
+            e.tag(1).u64(digests.len() as u64);
+            for d in digests {
+                e.u64(d);
+            }
         }
-        e.u64(stable.decided.len() as u64);
-        for (seq, payload, time) in &stable.decided {
-            e.u64(*seq).bytes(&payload.to_bytes()).u64(*time);
+        e.u64((mark.delivered + mark.buffered.len()) as u64);
+        e.u64(fresh.len() as u64);
+        for (seq, payload, time) in &fresh {
+            e.u64(*seq).u64(*time);
+            let accepted = self.slots.get(seq).and_then(|slot| slot.accepted.as_ref());
+            if accepted.is_some_and(|(_, _, proposal)| proposal == *payload) {
+                e.tag(0);
+            } else {
+                e.tag(1).bytes(&payload.to_bytes());
+            }
         }
+        mark.delivered = delivered.len();
+        mark.buffered = self.log.buffered().map(|(seq, ..)| seq).collect();
+        mark.digests = self.delivered_digests.len();
         e.finish()
     }
 
-    fn decode_stable(_crashed: &Self, bytes: &[u8]) -> Option<PbftStable<P>> {
-        let mut d = pbc_types::encode::Decoder::new(bytes);
+    fn apply(_crashed: &Self, stable: &mut PbftStable<P>, record: &[u8]) -> Option<()> {
+        // Decode and check everything first; `stable` changes only once
+        // the whole record is known to follow it.
+        let mut d = pbc_types::encode::Decoder::new(record);
         let view = d.u64()?;
         let n_slots = d.u64()? as usize;
-        let mut slots = BTreeMap::new();
+        let mut slots: BTreeMap<u64, Slot<P>> = BTreeMap::new();
         for _ in 0..n_slots {
             let seq = d.u64()?;
             let accepted = match d.tag()? {
@@ -725,6 +814,7 @@ impl<P: crate::common::PersistPayload> Durable for PbftReplica<P> {
                     let payload = P::from_bytes(d.bytes()?)?;
                     Some((v, digest, payload))
                 }
+                2 => Some(stable.slots.get(&seq)?.accepted.clone()?),
                 _ => return None,
             };
             let prepares = decode_votes(&mut d)?;
@@ -741,20 +831,61 @@ impl<P: crate::common::PersistPayload> Durable for PbftReplica<P> {
             };
             slots.insert(seq, Slot { accepted, prepares, commits, sent_commit, decided });
         }
-        let n_digests = d.u64()? as usize;
-        let mut delivered_digests = HashSet::with_capacity(n_digests.min(1024));
-        for _ in 0..n_digests {
-            delivered_digests.insert(d.u64()?);
+        let digests = match d.tag()? {
+            0 => None,
+            1 => {
+                let n_digests = d.u64()? as usize;
+                let mut digests = HashSet::with_capacity(n_digests.min(1024));
+                for _ in 0..n_digests {
+                    digests.insert(d.u64()?);
+                }
+                Some(digests)
+            }
+            _ => return None,
+        };
+        if d.u64()? != stable.decided.len() as u64 {
+            return None;
         }
         let n_decided = d.u64()? as usize;
-        let mut decided = Vec::with_capacity(n_decided.min(1024));
+        let mut decided: Vec<(u64, P, SimTime)> = Vec::with_capacity(n_decided.min(1024));
+        let mut decided_digests = Vec::with_capacity(n_decided.min(1024));
         for _ in 0..n_decided {
             let seq = d.u64()?;
-            let payload = P::from_bytes(d.bytes()?)?;
             let time = d.u64()?;
+            let known = stable.decided.binary_search_by_key(&seq, |(s, ..)| *s).is_ok();
+            if known || decided.last().is_some_and(|(last, ..)| *last >= seq) {
+                return None;
+            }
+            let (digest, payload) = match d.tag()? {
+                0 => {
+                    let slot = slots.get(&seq).or_else(|| stable.slots.get(&seq))?;
+                    let (_, digest, payload) = slot.accepted.as_ref()?;
+                    (*digest, payload.clone())
+                }
+                1 => {
+                    let payload = P::from_bytes(d.bytes()?)?;
+                    (payload.digest_u64(), payload)
+                }
+                _ => return None,
+            };
+            decided_digests.push(digest);
             decided.push((seq, payload, time));
         }
-        d.is_empty().then_some(PbftStable { view, slots, delivered_digests, decided })
+        if !d.is_empty() {
+            return None;
+        }
+
+        stable.view = view;
+        stable.slots.extend(slots);
+        match digests {
+            Some(all) => stable.delivered_digests = all,
+            None => stable.delivered_digests.extend(decided_digests),
+        }
+        for entry in decided {
+            let at = stable.decided.partition_point(|(seq, ..)| *seq < entry.0);
+            stable.decided.insert(at, entry);
+        }
+        Some(())
     }
 
     fn blank_stable(_crashed: &Self) -> PbftStable<P> {
@@ -770,6 +901,7 @@ impl<P: crate::common::PersistPayload> Durable for PbftReplica<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testing;
     use pbc_sim::{Network, NetworkConfig};
 
     fn cluster(n: usize, seed: u64, policy: LeaderPolicy) -> Network<PbftReplica<u64>> {
@@ -1057,22 +1189,118 @@ mod tests {
     }
 
     #[test]
-    fn stable_codec_roundtrips_and_rejects_truncation() {
+    fn snapshot_codec_roundtrips_and_rejects_truncation() {
         let mut net = cluster(4, 31, LeaderPolicy::FixedPerView);
         for p in 1..=3u64 {
             submit(&mut net, p);
         }
         net.run_to_quiescence(1_000_000);
         for i in 0..4 {
-            let stable = net.actor(i).checkpoint();
-            assert!(!stable.decided.is_empty(), "node {i} decided something");
-            let bytes = PbftReplica::<u64>::encode_stable(&stable);
-            let back = PbftReplica::decode_stable(net.actor(i), &bytes).expect("decodes");
-            assert_eq!(PbftReplica::<u64>::encode_stable(&back), bytes, "canonical roundtrip");
-            assert!(PbftReplica::decode_stable(net.actor(i), &bytes[..bytes.len() - 1]).is_none());
-            let mut padded = bytes.clone();
-            padded.push(0);
-            assert!(PbftReplica::decode_stable(net.actor(i), &padded).is_none());
+            let back = testing::assert_snapshot_codec(net.actor(i));
+            assert_eq!(back.decided, net.actor(i).checkpoint().decided, "node {i}");
+            assert!(!back.decided.is_empty(), "node {i} decided something");
+        }
+    }
+
+    /// The checkpoint a replica would take now, as canonical bytes.
+    fn checkpoint_bytes(actor: &PbftReplica<u64>) -> Vec<u8> {
+        testing::snapshot(actor)
+    }
+
+    /// Records taken along a run — through a view change and a replica
+    /// that catches up out of order — folded in order, are the
+    /// checkpoint; none grows with the log.
+    #[test]
+    fn records_fold_to_the_checkpoint_and_do_not_grow_with_the_log() {
+        for policy in [LeaderPolicy::FixedPerView, LeaderPolicy::RotatePerHeight] {
+            let mut net = cluster(4, 33, policy);
+            let mut marks: Vec<PbftMark> = (0..4).map(|_| PbftMark::default()).collect();
+            let mut records: Vec<Vec<Vec<u8>>> = vec![Vec::new(); 4];
+            for wave in 0..24u64 {
+                match wave {
+                    8 => net.crash(0),    // view change: accepted proposals are replaced
+                    12 => net.recover(0), // node 0 catches up by state transfer
+                    _ => {}
+                }
+                for p in 0..2 {
+                    submit(&mut net, 1_000 + wave * 2 + p);
+                }
+                // Stop mid-flight on odd waves: slots persist half-voted.
+                net.run_until(net.now() + if wave % 2 == 1 { 700 } else { 400_000 });
+                for i in (0..4).filter(|&i| !net.is_crashed(i)) {
+                    records[i].push(net.actor(i).encode_since(&mut marks[i]));
+                    let folded = testing::fold(net.actor(i), &records[i]);
+                    assert_eq!(
+                        checkpoint_bytes(&PbftReplica::restore(net.actor(i), folded)),
+                        checkpoint_bytes(net.actor(i)),
+                        "{policy:?} node {i} wave {wave}"
+                    );
+                }
+            }
+            assert!(net.actor(1).view() >= 1, "{policy:?}: the run changed view");
+            assert!(net.actor(1).log.len() >= 40, "{policy:?}: {}", net.actor(1).log.len());
+            let node = &records[1];
+            let (early, late) = (node[2].len() + node[3].len(), node[22].len() + node[23].len());
+            assert!(late <= 2 * early, "{policy:?}: records grew with the log: {early} -> {late}");
+        }
+    }
+
+    #[test]
+    fn a_record_that_does_not_follow_the_state_is_rejected_whole() {
+        let mut net = cluster(4, 34, LeaderPolicy::FixedPerView);
+        let mut mark = PbftMark::default();
+        let mut records = Vec::new();
+        for p in 1..=3u64 {
+            submit(&mut net, p);
+            net.run_to_quiescence(1_000_000);
+            records.push(net.actor(2).encode_since(&mut mark));
+        }
+        let actor = net.actor(2);
+        // Record 3 onto record 1: its decisions start where record 2's
+        // ended, and its unchanged proposals are ones record 2 carried.
+        let mut stable = PbftReplica::blank_stable(actor);
+        PbftReplica::apply(actor, &mut stable, &records[0]).expect("the snapshot applies");
+        let before = checkpoint_bytes(&PbftReplica::restore(actor, stable.clone()));
+        assert!(PbftReplica::apply(actor, &mut stable, &records[2]).is_none());
+        assert!(PbftReplica::apply(actor, &mut stable, &records[0]).is_none(), "nor twice");
+        assert_eq!(checkpoint_bytes(&PbftReplica::restore(actor, stable)), before);
+    }
+
+    #[test]
+    fn a_payload_is_written_once_per_record() {
+        // A decided slot holds its payload twice in memory (the accepted
+        // proposal and the decision); a record holds it once.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Blob(u64);
+        impl Payload for Blob {
+            fn digest_u64(&self) -> u64 {
+                self.0.digest_u64()
+            }
+        }
+        impl crate::common::PersistPayload for Blob {
+            fn to_bytes(&self) -> Vec<u8> {
+                self.0.to_be_bytes().repeat(128)
+            }
+            fn from_bytes(bytes: &[u8]) -> Option<Self> {
+                (bytes.len() == 1024)
+                    .then(|| Blob(u64::from_be_bytes(bytes[..8].try_into().unwrap())))
+            }
+        }
+        let cfg = PbftConfig::new(4);
+        let actors = (0..4).map(|_| PbftReplica::<Blob>::new(cfg.clone())).collect();
+        let mut net = Network::new(actors, NetworkConfig { seed: 35, ..Default::default() });
+        let mut mark = PbftMark::default();
+        for wave in 0..3u64 {
+            for p in 0..4 {
+                net.inject_all(0, PbftMsg::Request(Blob(wave * 4 + p)), 1);
+            }
+            net.run_to_quiescence(1_000_000);
+            let record = net.actor(1).encode_since(&mut mark);
+            assert!(
+                (4 * 1024..5 * 1024 + 512).contains(&record.len()),
+                "wave {wave}: {} bytes for four 1 KiB payloads",
+                record.len()
+            );
         }
     }
 }

@@ -529,8 +529,18 @@ pub struct RaftStable<P> {
     pub log_entries: Vec<(u64, P)>,
 }
 
+/// What a node's last checkpoint record covers: `(term, digest)` of
+/// every log entry it left on disk. A leader creates one entry per
+/// index and term, so the entries two logs of one node share are a
+/// prefix, found by walking back from the end.
+#[derive(Debug, Default, PartialEq)]
+pub struct RaftMark {
+    entries: Vec<(u64, u64)>,
+}
+
 impl<P: crate::common::PersistPayload> Durable for RaftNode<P> {
     type Stable = RaftStable<P>;
+    type Mark = RaftMark;
 
     fn checkpoint(&self) -> RaftStable<P> {
         RaftStable {
@@ -553,10 +563,18 @@ impl<P: crate::common::PersistPayload> Durable for RaftNode<P> {
         node
     }
 
-    fn encode_stable(stable: &RaftStable<P>) -> Vec<u8> {
+    /// The record: term and vote, then the log as "of the entries the
+    /// record before left, keep this many, then append these" — a
+    /// suffix a new leader rewrote is truncated and replaced.
+    fn encode_since(&self, mark: &mut RaftMark) -> Vec<u8> {
+        let stamp = |e: &LogEntry<P>| (e.term, e.digest);
+        let mut keep = mark.entries.len().min(self.log_entries.len());
+        while keep > 0 && mark.entries[keep - 1] != stamp(&self.log_entries[keep - 1]) {
+            keep -= 1;
+        }
         let mut e = pbc_types::encode::Encoder::new();
-        e.u64(stable.term);
-        match stable.voted_for {
+        e.u64(self.term);
+        match self.voted_for {
             Some(v) => {
                 e.tag(1).u64(v as u64);
             }
@@ -564,29 +582,44 @@ impl<P: crate::common::PersistPayload> Durable for RaftNode<P> {
                 e.tag(0);
             }
         }
-        e.u64(stable.log_entries.len() as u64);
-        for (term, payload) in &stable.log_entries {
-            e.u64(*term).bytes(&payload.to_bytes());
+        e.u64(mark.entries.len() as u64).u64(keep as u64);
+        e.u64((self.log_entries.len() - keep) as u64);
+        for entry in &self.log_entries[keep..] {
+            e.u64(entry.term).bytes(&entry.payload.to_bytes());
         }
+        mark.entries.truncate(keep);
+        mark.entries.extend(self.log_entries[keep..].iter().map(stamp));
         e.finish()
     }
 
-    fn decode_stable(_crashed: &Self, bytes: &[u8]) -> Option<RaftStable<P>> {
-        let mut d = pbc_types::encode::Decoder::new(bytes);
+    fn apply(_crashed: &Self, stable: &mut RaftStable<P>, record: &[u8]) -> Option<()> {
+        let mut d = pbc_types::encode::Decoder::new(record);
         let term = d.u64()?;
         let voted_for = match d.tag()? {
             0 => None,
             1 => Some(d.u64()? as NodeIdx),
             _ => return None,
         };
+        let extends = d.u64()?;
+        let keep = d.u64()?;
+        if extends != stable.log_entries.len() as u64 || keep > extends {
+            return None;
+        }
         let n = d.u64()? as usize;
-        let mut log_entries = Vec::with_capacity(n.min(1024));
+        let mut appended = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             let entry_term = d.u64()?;
             let payload = P::from_bytes(d.bytes()?)?;
-            log_entries.push((entry_term, payload));
+            appended.push((entry_term, payload));
         }
-        d.is_empty().then_some(RaftStable { term, voted_for, log_entries })
+        if !d.is_empty() {
+            return None;
+        }
+        stable.term = term;
+        stable.voted_for = voted_for;
+        stable.log_entries.truncate(keep as usize);
+        stable.log_entries.extend(appended);
+        Some(())
     }
 
     fn blank_stable(_crashed: &Self) -> RaftStable<P> {
@@ -648,6 +681,7 @@ impl<P: Payload + 'static> crate::ordering::OrderingActor for VolatileRaft<P> {
 impl<P: Payload> Durable for VolatileRaft<P> {
     /// Nothing survives — the point of the exercise.
     type Stable = ();
+    type Mark = ();
 
     fn checkpoint(&self) {}
 
@@ -655,11 +689,11 @@ impl<P: Payload> Durable for VolatileRaft<P> {
         VolatileRaft(RaftNode::new(crashed.0.cfg.clone(), crashed.0.id))
     }
 
-    fn encode_stable(_stable: &()) -> Vec<u8> {
+    fn encode_since(&self, _mark: &mut ()) -> Vec<u8> {
         Vec::new()
     }
 
-    fn decode_stable(_crashed: &Self, _bytes: &[u8]) -> Option<()> {
+    fn apply(_crashed: &Self, _stable: &mut (), _record: &[u8]) -> Option<()> {
         Some(())
     }
 
@@ -669,6 +703,7 @@ impl<P: Payload> Durable for VolatileRaft<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testing;
     use pbc_sim::{Network, NetworkConfig};
 
     fn cluster(n: usize, seed: u64) -> Network<RaftNode<u64>> {
@@ -937,7 +972,7 @@ mod tests {
     }
 
     #[test]
-    fn stable_codec_roundtrips_and_rejects_truncation() {
+    fn snapshot_codec_roundtrips_and_rejects_truncation() {
         let mut net = cluster(3, 31);
         net.run_until(100_000);
         for p in 1..=4u64 {
@@ -947,16 +982,75 @@ mod tests {
         for i in 0..3 {
             let stable = net.actor(i).checkpoint();
             assert!(!stable.log_entries.is_empty(), "node {i} persisted entries");
-            let bytes = RaftNode::<u64>::encode_stable(&stable);
-            let back = RaftNode::decode_stable(net.actor(i), &bytes).expect("decodes");
-            assert_eq!(RaftNode::<u64>::encode_stable(&back), bytes, "canonical roundtrip");
-            assert_eq!(back.term, stable.term);
-            assert_eq!(back.log_entries, stable.log_entries);
             // Any strict prefix is malformed, as is trailing garbage.
-            assert!(RaftNode::decode_stable(net.actor(i), &bytes[..bytes.len() - 1]).is_none());
-            let mut padded = bytes.clone();
-            padded.push(0);
-            assert!(RaftNode::decode_stable(net.actor(i), &padded).is_none());
+            let back = testing::assert_snapshot_codec(net.actor(i));
+            assert_eq!(back.term, stable.term);
+            assert_eq!(back.voted_for, stable.voted_for);
+            assert_eq!(back.log_entries, stable.log_entries);
         }
+    }
+
+    /// Records taken along a run, folded in order, are the checkpoint —
+    /// and each carries only the entries appended since the one before.
+    #[test]
+    fn records_fold_to_the_checkpoint_and_carry_only_new_entries() {
+        let mut net = cluster(3, 32);
+        net.run_until(100_000);
+        let mut marks: Vec<RaftMark> = (0..3).map(|_| RaftMark::default()).collect();
+        let mut records: Vec<Vec<Vec<u8>>> = vec![Vec::new(); 3];
+        for wave in 0..8u64 {
+            for p in 0..3 {
+                submit(&mut net, 100 + wave * 3 + p);
+            }
+            run_until_delivered(&mut net, (wave as usize + 1) * 3, 2_000_000);
+            for i in 0..3 {
+                records[i].push(net.actor(i).encode_since(&mut marks[i]));
+                let folded = testing::fold(net.actor(i), &records[i]);
+                let stable = net.actor(i).checkpoint();
+                assert_eq!(folded.term, stable.term);
+                assert_eq!(folded.voted_for, stable.voted_for);
+                assert_eq!(folded.log_entries, stable.log_entries, "node {i} wave {wave}");
+            }
+        }
+        for node in &records {
+            assert!(node[7].len() <= node[1].len(), "a record does not grow with the log");
+            // A record out of order does not apply; the prefix stands.
+            let mut stable = RaftNode::blank_stable(net.actor(0));
+            RaftNode::apply(net.actor(0), &mut stable, &node[0]).expect("the snapshot applies");
+            assert!(RaftNode::apply(net.actor(0), &mut stable, &node[2]).is_none());
+            assert_eq!(stable.log_entries.len(), 3, "a rejected record changes nothing");
+        }
+    }
+
+    /// A new leader rewrites a suffix between two persists: the second
+    /// record truncates what the first one wrote.
+    #[test]
+    fn a_rewritten_suffix_is_truncated_by_the_next_record() {
+        let append = |term, prev_index, prev_term, entries: &[u64]| RaftMsg::AppendEntries {
+            term,
+            prev_index,
+            prev_term,
+            entries: entries.iter().map(|p| (term, *p)).collect(),
+            leader_commit: 0,
+        };
+        let mut f = RaftNode::<u64>::new(RaftConfig::new(3), 2);
+        let mut ctx = Context::standalone(0, 2, 3);
+        f.on_start(&mut ctx);
+        let mut mark = RaftMark::default();
+        f.on_message(0, &append(1, 0, 0, &[7, 8, 9]), &mut ctx);
+        let mut records = vec![f.encode_since(&mut mark)];
+        // Leader B (term 2) agrees on entry 1 only; 8 and 9 go. Its
+        // first new entry has the payload of the one it replaces.
+        f.on_message(1, &append(2, 1, 1, &[8, 5]), &mut ctx);
+        let log: Vec<(u64, u64)> = f.log_entries.iter().map(|e| (e.term, e.payload)).collect();
+        assert_eq!(log, vec![(1, 7), (2, 8), (2, 5)]);
+        records.push(f.encode_since(&mut mark));
+        let nothing_new = f.encode_since(&mut mark);
+        assert!(nothing_new.len() < records[1].len(), "an unchanged log appends no entry");
+        records.push(nothing_new);
+        let folded = testing::fold(&f, &records);
+        assert_eq!(folded.term, 2);
+        assert_eq!(folded.log_entries, log);
+        assert_eq!(testing::snapshot(&RaftNode::restore(&f, folded)), testing::snapshot(&f));
     }
 }

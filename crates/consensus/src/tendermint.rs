@@ -425,6 +425,8 @@ pub struct TmStable<P> {
 
 impl<P: crate::common::PersistPayload> Durable for TendermintNode<P> {
     type Stable = TmStable<P>;
+    /// Every record is the whole state.
+    type Mark = ();
 
     fn checkpoint(&self) -> TmStable<P> {
         TmStable {
@@ -449,7 +451,8 @@ impl<P: crate::common::PersistPayload> Durable for TendermintNode<P> {
         node
     }
 
-    fn encode_stable(stable: &TmStable<P>) -> Vec<u8> {
+    fn encode_since(&self, _mark: &mut ()) -> Vec<u8> {
+        let stable = self.checkpoint();
         let mut e = pbc_types::encode::Encoder::new();
         e.u64(stable.height);
         match &stable.locked {
@@ -473,7 +476,7 @@ impl<P: crate::common::PersistPayload> Durable for TendermintNode<P> {
         e.finish()
     }
 
-    fn decode_stable(_crashed: &Self, bytes: &[u8]) -> Option<TmStable<P>> {
+    fn apply(_crashed: &Self, stable: &mut TmStable<P>, bytes: &[u8]) -> Option<()> {
         let mut d = pbc_types::encode::Decoder::new(bytes);
         let height = d.u64()?;
         let locked = match d.tag()? {
@@ -499,7 +502,9 @@ impl<P: crate::common::PersistPayload> Durable for TendermintNode<P> {
             let time = d.u64()?;
             decided.push((seq, payload, time));
         }
-        d.is_empty().then_some(TmStable { height, locked, delivered_digests, decided })
+        *stable =
+            d.is_empty().then_some(TmStable { height, locked, delivered_digests, decided })?;
+        Some(())
     }
 
     fn blank_stable(_crashed: &Self) -> TmStable<P> {
@@ -657,16 +662,8 @@ mod tests {
         for i in 0..4 {
             let stable = net.actor(i).checkpoint();
             assert!(!stable.decided.is_empty(), "node {i} decided something");
-            let bytes = TendermintNode::<u64>::encode_stable(&stable);
-            let back = TendermintNode::decode_stable(net.actor(i), &bytes).expect("decodes");
-            assert_eq!(TendermintNode::<u64>::encode_stable(&back), bytes, "canonical roundtrip");
+            let back = crate::common::testing::assert_snapshot_codec(net.actor(i));
             assert_eq!(back.height, stable.height);
-            assert!(
-                TendermintNode::decode_stable(net.actor(i), &bytes[..bytes.len() - 1]).is_none()
-            );
-            let mut padded = bytes.clone();
-            padded.push(0);
-            assert!(TendermintNode::decode_stable(net.actor(i), &padded).is_none());
         }
     }
 }

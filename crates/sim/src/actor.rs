@@ -75,18 +75,31 @@ pub trait Durable: Actor + Sized {
     /// be copied from it — that is the amnesia being modelled.
     fn restore(crashed: &Self, stable: Self::Stable) -> Self;
 
-    /// Serializes a checkpoint for a *real* stable store (`pbc-store`'s
-    /// WAL). Together with [`Durable::decode_stable`] this upgrades the
-    /// durability claim from "a struct handed across the crash" to
-    /// "bytes that survived a disk".
-    fn encode_stable(stable: &Self::Stable) -> Vec<u8>;
+    /// What the last record written by [`Durable::encode_since`] already
+    /// covers, in whatever form lets the protocol tell what changed
+    /// since. The default means "nothing persisted yet".
+    type Mark: Default + PartialEq;
 
-    /// Deserializes a checkpoint previously produced by
-    /// [`Durable::encode_stable`]. `crashed` is provided only for
-    /// immutable configuration, exactly as in [`Durable::restore`] —
-    /// configs need not be serialized. Returns `None` on malformed
-    /// bytes (a damaged disk must degrade, never panic).
-    fn decode_stable(crashed: &Self, bytes: &[u8]) -> Option<Self::Stable>;
+    /// Serializes, for a *real* stable store (`pbc-store`'s WAL), what
+    /// of the durable state changed since `mark`, and advances `mark`
+    /// to the present. From the default mark that is the whole durable
+    /// state — a snapshot is the same code path, and a protocol whose
+    /// `Mark` is `()` writes nothing else. Together with
+    /// [`Durable::apply`] this upgrades the durability claim from "a
+    /// struct handed across the crash" to "bytes that survived a disk".
+    fn encode_since(&self, mark: &mut Self::Mark) -> Vec<u8>;
+
+    /// Folds one record produced by [`Durable::encode_since`] into
+    /// `stable`: applying, in order, a record encoded from the default
+    /// mark and every record encoded after it to
+    /// [`Durable::blank_stable`] yields what [`Durable::checkpoint`]
+    /// returned when the last one was encoded. `crashed` is provided
+    /// only for immutable configuration, exactly as in
+    /// [`Durable::restore`] — configs need not be serialized. Returns
+    /// `None`, leaving `stable` as it was, on malformed bytes or a
+    /// record that does not follow `stable` (a damaged disk must
+    /// degrade, never panic).
+    fn apply(crashed: &Self, stable: &mut Self::Stable, record: &[u8]) -> Option<()>;
 
     /// The checkpoint a node restarts from when the disk yielded
     /// nothing usable (empty store, or a checkpoint lost to a torn

@@ -255,6 +255,7 @@ impl<A: Actor> Actor for Adversary<A> {
 
 impl<A: crate::Durable> crate::Durable for Adversary<A> {
     type Stable = A::Stable;
+    type Mark = A::Mark;
 
     fn checkpoint(&self) -> Self::Stable {
         // Only the wrapped protocol's durable state is checkpointed: the
@@ -267,12 +268,12 @@ impl<A: crate::Durable> crate::Durable for Adversary<A> {
         Adversary::new(A::restore(&crashed.inner, stable), crashed.attacks.clone())
     }
 
-    fn encode_stable(stable: &Self::Stable) -> Vec<u8> {
-        A::encode_stable(stable)
+    fn encode_since(&self, mark: &mut Self::Mark) -> Vec<u8> {
+        self.inner.encode_since(mark)
     }
 
-    fn decode_stable(crashed: &Self, bytes: &[u8]) -> Option<Self::Stable> {
-        A::decode_stable(&crashed.inner, bytes)
+    fn apply(crashed: &Self, stable: &mut Self::Stable, record: &[u8]) -> Option<()> {
+        A::apply(&crashed.inner, stable, record)
     }
 
     fn blank_stable(crashed: &Self) -> Self::Stable {

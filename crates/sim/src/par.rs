@@ -1330,17 +1330,19 @@ mod tests {
 
     impl Durable for Churner {
         type Stable = u32;
+        type Mark = ();
         fn checkpoint(&self) -> u32 {
             self.limit
         }
         fn restore(_crashed: &Self, stable: u32) -> Self {
             Churner { fires: 0, msgs: 0, limit: stable }
         }
-        fn encode_stable(stable: &u32) -> Vec<u8> {
-            stable.to_le_bytes().to_vec()
+        fn encode_since(&self, _mark: &mut ()) -> Vec<u8> {
+            self.limit.to_le_bytes().to_vec()
         }
-        fn decode_stable(_crashed: &Self, bytes: &[u8]) -> Option<u32> {
-            Some(u32::from_le_bytes(bytes.try_into().ok()?))
+        fn apply(_crashed: &Self, stable: &mut u32, record: &[u8]) -> Option<()> {
+            *stable = u32::from_le_bytes(record.try_into().ok()?);
+            Some(())
         }
         fn blank_stable(crashed: &Self) -> u32 {
             crashed.limit

@@ -9,10 +9,17 @@
 
 /// Reflected CRC32 with the IEEE polynomial `0xEDB88320`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_parts(&[bytes])
+}
+
+/// [`crc32`] of the concatenation of `parts`, without building it.
+pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
     let mut crc = !0u32;
-    for &b in bytes {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
+    for part in parts {
+        for &b in *part {
+            let idx = ((crc ^ b as u32) & 0xFF) as usize;
+            crc = (crc >> 8) ^ TABLE[idx];
+        }
     }
     !crc
 }
@@ -46,6 +53,12 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn parts_checksum_as_their_concatenation() {
+        assert_eq!(crc32_parts(&[b"1234", b"", b"56789"]), crc32(b"123456789"));
+        assert_eq!(crc32_parts(&[]), crc32(b""));
     }
 
     #[test]

@@ -20,7 +20,11 @@
 //! * [`NodeStore`] — one node's durable state: a checkpoint WAL plus a
 //!   block segment store, recovered together by a staged replay (scan
 //!   segments → validate checksums → truncate torn WAL tail → adopt the
-//!   last durable checkpoint).
+//!   last durable snapshot and the extensions chained to it). A
+//!   checkpoint record either replaces what came before it
+//!   ([`NodeStore::put_checkpoint`]) or extends it
+//!   ([`NodeStore::extend_checkpoint`]), so a caller persists what
+//!   changed, not what exists.
 //! * [`Vfs`] — the filesystem seam. [`RealFs`] is `std::fs` + `fsync`;
 //!   [`FaultFs`] is a deterministic, seed-driven in-memory filesystem
 //!   that tears the tail of un-synced writes on crash at a byte
@@ -44,6 +48,6 @@ mod wal;
 pub use atomic::write_atomic;
 pub use crc::crc32;
 pub use segment::{SegmentReport, SegmentStore};
-pub use store::{NodeStore, Recovery, StoreConfig, StoreError};
+pub use store::{NodeStore, Recovery, StoreConfig, StoreError, COMPACT_DEAD_PER_LIVE};
 pub use vfs::{read_full, write_full, FaultFs, RealFs, ShortReader, ShortWriter, Vfs};
 pub use wal::{Wal, WalRecovery};

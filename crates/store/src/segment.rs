@@ -24,8 +24,9 @@
 //! manages to seal it. Renaming un-synced data would launder it into
 //! durability, so the store never does.
 
+use crate::crc::crc32_parts;
 use crate::vfs::Vfs;
-use crate::{crc32, StoreError};
+use crate::StoreError;
 
 const OPEN_SEGMENT: &str = "open.blk";
 const RECORD_HEADER: usize = 16; // seq u64 + len u32 + crc u32
@@ -84,10 +85,7 @@ fn parse_segment(data: &[u8]) -> Parsed {
             return Parsed::TornTail(blocks, offset);
         }
         let payload = &data[body_start..body_start + len];
-        let mut checked = Vec::with_capacity(8 + len);
-        checked.extend_from_slice(&seq_bytes);
-        checked.extend_from_slice(payload);
-        if crc32(&checked) != crc {
+        if crc32_parts(&[&seq_bytes, payload]) != crc {
             // Complete frame, bad CRC: torn only if nothing follows.
             return if body_start + len == data.len() {
                 Parsed::TornTail(blocks, offset)
@@ -101,13 +99,11 @@ fn parse_segment(data: &[u8]) -> Parsed {
 }
 
 fn frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut checked = Vec::with_capacity(8 + payload.len());
-    checked.extend_from_slice(&seq.to_be_bytes());
-    checked.extend_from_slice(payload);
+    let seq_bytes = seq.to_be_bytes();
     let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
-    out.extend_from_slice(&seq.to_be_bytes());
+    out.extend_from_slice(&seq_bytes);
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(&checked).to_be_bytes());
+    out.extend_from_slice(&crc32_parts(&[&seq_bytes, payload]).to_be_bytes());
     out.extend_from_slice(payload);
     out
 }

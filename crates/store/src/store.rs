@@ -3,10 +3,22 @@
 //!
 //! The [`NodeStore`] persists two things:
 //!
-//! * **checkpoints** — opaque encoded consensus state, appended to
-//!   `checkpoint.wal`; the last durable record wins. The log is
-//!   compacted (rewritten to its final record via atomic rename) when
-//!   it grows past a threshold.
+//! * **checkpoints** — opaque encoded consensus state in
+//!   `checkpoint.wal`, as a chain of records:
+//!
+//!   ```text
+//!   record    = snapshot | extension
+//!   snapshot  = 'S' ordinal:u64 bytes    replaces everything before it
+//!   extension = 'E' ordinal:u64 bytes    extends record `ordinal - 1`
+//!   ```
+//!
+//!   Recovery hands back the last durable snapshot and the extensions
+//!   chained to it, in order; the caller folds them. An extension whose
+//!   predecessor is not the record right before it ends the chain — a
+//!   gap is never folded over. Records before the last snapshot are
+//!   dead bytes; when a new snapshot would leave
+//!   [`COMPACT_DEAD_PER_LIVE`] times its own size of them, the log is
+//!   rewritten to that snapshot alone (atomic rename).
 //! * **blocks** — `(seq, payload)` pairs appended to the segment store,
 //!   guarded by a `persisted` watermark set so re-offering an
 //!   already-persisted sequence is a cheap no-op. That watermark is
@@ -23,7 +35,7 @@
 //! it again reaches the same state, which the crash-during-recovery
 //! chaos tests exercise.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 
 use crate::segment::SegmentStore;
@@ -31,6 +43,28 @@ use crate::vfs::Vfs;
 use crate::wal::Wal;
 
 const CHECKPOINT_WAL: &str = "checkpoint.wal";
+
+/// Dead bytes per live byte at which a snapshot rewrites the checkpoint
+/// log instead of being appended to it.
+pub const COMPACT_DEAD_PER_LIVE: u64 = 8;
+
+const SNAPSHOT: u8 = b'S';
+const EXTENSION: u8 = b'E';
+/// Kind byte plus ordinal.
+const RECORD_HEADER: usize = 9;
+
+fn record_header(kind: u8, ordinal: u64) -> [u8; RECORD_HEADER] {
+    let mut header = [kind; RECORD_HEADER];
+    header[1..].copy_from_slice(&ordinal.to_be_bytes());
+    header
+}
+
+/// Splits a checkpoint-log record into `(kind, ordinal, bytes)`.
+fn parse_record(record: &[u8]) -> Option<(u8, u64, &[u8])> {
+    let (header, bytes) = record.split_first_chunk::<RECORD_HEADER>()?;
+    let ordinal = u64::from_be_bytes(header[1..].try_into().expect("8 bytes"));
+    matches!(header[0], SNAPSHOT | EXTENSION).then_some((header[0], ordinal, bytes))
+}
 
 /// Errors surfaced by the store.
 #[derive(Debug)]
@@ -54,6 +88,10 @@ pub enum StoreError {
         /// Byte offset of the frame that failed its checksum.
         offset: u64,
     },
+    /// [`NodeStore::extend_checkpoint`] was called while
+    /// [`NodeStore::can_extend`] is false: the next record must be a
+    /// snapshot.
+    BrokenChain,
 }
 
 impl std::fmt::Display for StoreError {
@@ -65,6 +103,9 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::Corrupt { file, offset } => {
                 write!(f, "corrupt frame in {file} at byte {offset}")
+            }
+            StoreError::BrokenChain => {
+                write!(f, "no checkpoint record written in this session to extend")
             }
         }
     }
@@ -93,22 +134,25 @@ pub struct StoreConfig {
     /// Whether recovery truncates a torn final record (the production
     /// setting). Disabled only by tests proving the truncation matters.
     pub truncate_torn_tail: bool,
-    /// Checkpoint-WAL record count that triggers compaction.
-    pub wal_compact_threshold: usize,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig { records_per_segment: 4, truncate_torn_tail: true, wal_compact_threshold: 8 }
+        StoreConfig { records_per_segment: 4, truncate_torn_tail: true }
     }
 }
 
 /// What a staged [`NodeStore::reopen`] found and repaired.
 #[derive(Clone, Debug, Default)]
 pub struct Recovery {
-    /// The last durable checkpoint, if any survived.
+    /// The last durable snapshot, if any survived.
     pub checkpoint: Option<Vec<u8>>,
-    /// Checkpoint records that were readable in the WAL.
+    /// The durable extensions chained to [`Recovery::checkpoint`], in
+    /// the order they were written: the longest prefix of the chain
+    /// that has no gap. Folding them onto the snapshot, in order, gives
+    /// the state at the last durable record.
+    pub extensions: Vec<Vec<u8>>,
+    /// Checkpoint records (of either kind) that were readable in the WAL.
     pub checkpoints_seen: usize,
     /// Every trusted block, sorted by sequence (duplicates last-wins).
     pub blocks: Vec<(u64, Vec<u8>)>,
@@ -135,8 +179,16 @@ pub struct NodeStore {
     cfg: StoreConfig,
     wal: Wal,
     segments: SegmentStore,
-    persisted: BTreeMap<u64, ()>,
-    wal_records: usize,
+    persisted: BTreeSet<u64>,
+    /// Bytes of `checkpoint.wal` before its last snapshot.
+    wal_dead: u64,
+    /// Bytes of `checkpoint.wal` from its last snapshot on.
+    wal_live: u64,
+    next_ordinal: u64,
+    /// Whether the last checkpoint record was written by this session
+    /// with nothing failing since, so that the caller knows what an
+    /// extension would extend.
+    chain_intact: bool,
     rng: u64,
 }
 
@@ -145,7 +197,9 @@ impl std::fmt::Debug for NodeStore {
         f.debug_struct("NodeStore")
             .field("cfg", &self.cfg)
             .field("blocks", &self.persisted.len())
-            .field("wal_records", &self.wal_records)
+            .field("wal_dead", &self.wal_dead)
+            .field("wal_live", &self.wal_live)
+            .field("chain_intact", &self.chain_intact)
             .finish()
     }
 }
@@ -166,19 +220,26 @@ impl NodeStore {
             cfg,
             wal: Wal::new(CHECKPOINT_WAL),
             segments: SegmentStore::new(cfg.records_per_segment, cfg.truncate_torn_tail),
-            persisted: BTreeMap::new(),
-            wal_records: 0,
+            persisted: BTreeSet::new(),
+            wal_dead: 0,
+            wal_live: 0,
+            next_ordinal: 0,
+            chain_intact: false,
             rng: 0x5704_E000_0000_0001,
         };
         let recovery = store.reopen()?;
         Ok((store, recovery))
     }
 
-    /// The staged replay: segments → WAL → checkpoint → watermark.
+    /// The staged replay: segments → WAL → checkpoint chain → watermark.
     ///
     /// Idempotent: each stage only truncates torn bytes or renames
     /// atomically, so a crash mid-recovery re-runs to the same state.
+    /// Whatever the caller held in memory may be ahead of what came
+    /// back, so the next checkpoint record must be a snapshot
+    /// ([`NodeStore::can_extend`] is false until one is written).
     pub fn reopen(&mut self) -> Result<Recovery, StoreError> {
+        self.chain_intact = false;
         self.segments =
             SegmentStore::new(self.cfg.records_per_segment, self.cfg.truncate_torn_tail);
         let seg_report = self.segments.recover(self.vfs.as_mut())?;
@@ -187,10 +248,44 @@ impl NodeStore {
         for (seq, payload) in seg_report.blocks {
             blocks.insert(seq, payload);
         }
-        self.persisted = blocks.keys().map(|&s| (s, ())).collect();
-        self.wal_records = wal_rec.records.len();
+        self.persisted = blocks.keys().copied().collect();
+
+        // Fold rule: the last snapshot, then every extension whose
+        // ordinal follows the record before it. `tip` is the ordinal an
+        // extension must follow; a gap (or a record this code did not
+        // write) clears it until the next snapshot.
+        let mut checkpoint = None;
+        let mut extensions = Vec::new();
+        let mut tip = None;
+        (self.wal_dead, self.wal_live, self.next_ordinal) = (0, 0, 0);
+        for record in &wal_rec.records {
+            let frame = Wal::frame_len(record.len());
+            let parsed = parse_record(record);
+            if let Some((_, ordinal, _)) = parsed {
+                self.next_ordinal = self.next_ordinal.max(ordinal + 1);
+            }
+            match parsed {
+                Some((SNAPSHOT, ordinal, bytes)) => {
+                    checkpoint = Some(bytes.to_vec());
+                    extensions.clear();
+                    tip = Some(ordinal);
+                    self.wal_dead += self.wal_live;
+                    self.wal_live = frame;
+                }
+                Some((_, ordinal, bytes)) if tip.is_some_and(|t| t + 1 == ordinal) => {
+                    extensions.push(bytes.to_vec());
+                    tip = Some(ordinal);
+                    self.wal_live += frame;
+                }
+                _ => {
+                    tip = None;
+                    self.wal_live += frame;
+                }
+            }
+        }
         Ok(Recovery {
-            checkpoint: wal_rec.records.last().cloned(),
+            checkpoint,
+            extensions,
             checkpoints_seen: wal_rec.records.len(),
             blocks: blocks.into_iter().collect(),
             wal_torn_tail: wal_rec.torn_tail,
@@ -200,29 +295,65 @@ impl NodeStore {
         })
     }
 
-    /// Appends a checkpoint record (durable after [`NodeStore::sync`]),
-    /// compacting the WAL when it grows past the threshold.
+    /// Writes a snapshot: a checkpoint record that replaces every
+    /// record before it (durable after [`NodeStore::sync`]). Everything
+    /// already in the log becomes dead bytes; when that is at least
+    /// [`COMPACT_DEAD_PER_LIVE`] times this record, the log is
+    /// rewritten to this record alone instead of appended to.
     pub fn put_checkpoint(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        if self.wal_records + 1 > self.cfg.wal_compact_threshold {
+        let header = record_header(SNAPSHOT, self.next_ordinal);
+        let frame = Wal::frame_len(RECORD_HEADER + bytes.len());
+        let dead = self.wal_dead + self.wal_live;
+        let written = if dead >= COMPACT_DEAD_PER_LIVE * frame {
             // Compaction IS the durability point for this record: the
             // rewrite ends in sync + atomic rename.
-            self.wal.rewrite(self.vfs.as_mut(), std::slice::from_ref(&bytes.to_vec()))?;
-            self.wal_records = 1;
-            return Ok(());
+            self.wal_dead = 0;
+            self.wal.rewrite(self.vfs.as_mut(), &[&[&header, bytes].concat()])
+        } else {
+            self.wal_dead = dead;
+            self.wal.append_parts(self.vfs.as_mut(), &[&header, bytes])
+        };
+        self.wal_live = frame;
+        self.next_ordinal += 1;
+        self.chain_intact = written.is_ok();
+        written
+    }
+
+    /// Writes an extension: a checkpoint record that says what changed
+    /// since the record before it, which must be one this session wrote
+    /// ([`NodeStore::can_extend`]). It carries its predecessor's
+    /// ordinal, so recovery folds it only onto exactly that record.
+    pub fn extend_checkpoint(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        if !self.chain_intact {
+            return Err(StoreError::BrokenChain);
         }
-        self.wal.append(self.vfs.as_mut(), bytes)?;
-        self.wal_records += 1;
-        Ok(())
+        let header = record_header(EXTENSION, self.next_ordinal);
+        let written = self.wal.append_parts(self.vfs.as_mut(), &[&header, bytes]);
+        self.wal_live += Wal::frame_len(RECORD_HEADER + bytes.len());
+        self.next_ordinal += 1;
+        self.chain_intact = written.is_ok();
+        written
+    }
+
+    /// Whether the next checkpoint record may be an extension. False
+    /// after anything that may have separated what is on disk from what
+    /// the caller believes it wrote — a [`NodeStore::reopen`] (restart,
+    /// cold read, quarantine) or a failed write or sync — and until a
+    /// snapshot is written: when in doubt, snapshot.
+    pub fn can_extend(&self) -> bool {
+        self.chain_intact
     }
 
     /// Appends a block unless that sequence is already persisted.
     /// Returns whether an append happened.
     pub fn append_block(&mut self, seq: u64, payload: &[u8]) -> Result<bool, StoreError> {
-        if self.persisted.contains_key(&seq) {
+        if self.persisted.contains(&seq) {
             return Ok(false);
         }
-        self.segments.append(self.vfs.as_mut(), seq, payload)?;
-        self.persisted.insert(seq, ());
+        let appended = self.segments.append(self.vfs.as_mut(), seq, payload);
+        self.chain_intact &= appended.is_ok();
+        appended?;
+        self.persisted.insert(seq);
         Ok(true)
     }
 
@@ -230,14 +361,15 @@ impl NodeStore {
     /// real) leaves recent appends vulnerable to the next crash — the
     /// caller keeps running; that exposure is the fault model.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.wal.sync(self.vfs.as_mut())?;
-        self.segments.sync(self.vfs.as_mut())?;
-        Ok(())
+        let synced =
+            self.wal.sync(self.vfs.as_mut()).and_then(|()| self.segments.sync(self.vfs.as_mut()));
+        self.chain_intact &= synced.is_ok();
+        synced
     }
 
     /// Whether `seq` is persisted (durably or pending sync).
     pub fn has_block(&self, seq: u64) -> bool {
-        self.persisted.contains_key(&seq)
+        self.persisted.contains(&seq)
     }
 
     /// Number of distinct block sequences persisted.
@@ -454,17 +586,143 @@ mod tests {
     }
 
     #[test]
-    fn wal_compaction_bounds_growth_and_keeps_latest() {
-        let cfg = StoreConfig { wal_compact_threshold: 4, ..StoreConfig::default() };
-        let (mut store, fs) = open_fault(7, cfg);
-        for i in 0..20u32 {
+    fn snapshots_compact_by_dead_bytes_and_keep_latest() {
+        let (mut store, fs) = open_fault(7, StoreConfig::default());
+        let frame = Wal::frame_len(RECORD_HEADER + 5);
+        let mut rewrites = 0;
+        let mut before = 0;
+        for i in 10..50u32 {
             store.put_checkpoint(format!("cp-{i}").as_bytes()).unwrap();
             store.sync().unwrap();
+            let len = fs.len(CHECKPOINT_WAL).unwrap();
+            // Equal-sized snapshots: the ninth finds eight dead ones.
+            assert!(len <= COMPACT_DEAD_PER_LIVE * frame, "wal stayed bounded, got {len}");
+            rewrites += usize::from(len < before);
+            before = len;
         }
-        let wal_len = fs.len(CHECKPOINT_WAL).unwrap();
-        assert!(wal_len < 20 * 12, "wal stayed bounded, got {wal_len}");
+        assert_eq!(rewrites, 40 / (COMPACT_DEAD_PER_LIVE as usize + 1));
         let rec = store.reopen().unwrap();
-        assert_eq!(rec.checkpoint.as_deref(), Some(b"cp-19".as_slice()));
+        assert_eq!(rec.checkpoint.as_deref(), Some(b"cp-49".as_slice()));
+        assert!(rec.extensions.is_empty());
+    }
+
+    #[test]
+    fn extensions_are_live_bytes_and_one_big_snapshot_does_not_rewrite() {
+        let (mut store, fs) = open_fault(8, StoreConfig::default());
+        store.put_checkpoint(&[1u8; 100]).unwrap();
+        for _ in 0..64 {
+            store.extend_checkpoint(&[2u8; 100]).unwrap();
+        }
+        store.sync().unwrap();
+        let chain = fs.len(CHECKPOINT_WAL).unwrap();
+        assert_eq!(chain, 65 * Wal::frame_len(RECORD_HEADER + 100), "a chain is never rewritten");
+        // A snapshot the size of the chain it replaces is appended...
+        store.put_checkpoint(&vec![3u8; 6500]).unwrap();
+        assert!(fs.len(CHECKPOINT_WAL).unwrap() > chain);
+        // ...and a small one that would leave 8x its size dead rewrites.
+        store.put_checkpoint(&[4u8; 100]).unwrap();
+        assert_eq!(fs.len(CHECKPOINT_WAL).unwrap(), Wal::frame_len(RECORD_HEADER + 100));
+        let rec = store.reopen().unwrap();
+        assert_eq!(rec.checkpoint.as_deref(), Some([4u8; 100].as_slice()));
+    }
+
+    #[test]
+    fn recovery_returns_the_snapshot_and_its_extensions_in_order() {
+        let (mut store, _fs) = open_fault(9, StoreConfig::default());
+        assert!(!store.can_extend(), "nothing to extend in a fresh store");
+        assert!(matches!(store.extend_checkpoint(b"x"), Err(StoreError::BrokenChain)));
+        store.put_checkpoint(b"old-snap").unwrap();
+        store.extend_checkpoint(b"old-ext").unwrap();
+        store.put_checkpoint(b"snap").unwrap();
+        store.extend_checkpoint(b"ext-1").unwrap();
+        store.extend_checkpoint(b"ext-2").unwrap();
+        store.sync().unwrap();
+        store.fault_crash();
+        let rec = store.reopen().unwrap();
+        assert_eq!(rec.checkpoint.as_deref(), Some(b"snap".as_slice()));
+        assert_eq!(rec.extensions, vec![b"ext-1".to_vec(), b"ext-2".to_vec()]);
+        assert_eq!(rec.checkpoints_seen, 5);
+        // After any reopen the caller cannot know what it is extending.
+        assert!(!store.can_extend());
+        assert!(matches!(store.extend_checkpoint(b"ext-3"), Err(StoreError::BrokenChain)));
+        store.put_checkpoint(b"snap-2").unwrap();
+        assert!(store.can_extend());
+        store.extend_checkpoint(b"ext-3").unwrap();
+        store.sync().unwrap();
+        let rec = store.reopen().unwrap();
+        assert_eq!(rec.checkpoint.as_deref(), Some(b"snap-2".as_slice()));
+        assert_eq!(rec.extensions, vec![b"ext-3".to_vec()]);
+    }
+
+    #[test]
+    fn a_gap_in_the_chain_recovers_the_prefix_before_it() {
+        // Drop each record of a chain in turn by rewriting the file
+        // without it: recovery folds up to the hole and nothing after.
+        let bodies: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 16]).collect();
+        for dropped in 0..5usize {
+            let (mut store, mut fs) = open_fault(20 + dropped as u64, StoreConfig::default());
+            store.put_checkpoint(&bodies[0]).unwrap();
+            for body in &bodies[1..] {
+                store.extend_checkpoint(body).unwrap();
+            }
+            store.sync().unwrap();
+            let records = Wal::new(CHECKPOINT_WAL).read(&mut fs, true).unwrap().records;
+            let kept: Vec<&[u8]> = records
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| (i != dropped).then_some(r.as_slice()))
+                .collect();
+            Wal::new(CHECKPOINT_WAL).rewrite(&mut fs, &kept).unwrap();
+            let rec = store.reopen().unwrap();
+            assert_eq!(rec.checkpoints_seen, 4);
+            if dropped == 0 {
+                assert!(
+                    rec.checkpoint.is_none(),
+                    "extensions of a missing snapshot fold onto nothing"
+                );
+                assert!(rec.extensions.is_empty());
+            } else {
+                assert_eq!(rec.checkpoint.as_deref(), Some(bodies[0].as_slice()));
+                assert_eq!(rec.extensions, bodies[1..dropped].to_vec(), "dropped record {dropped}");
+            }
+        }
+    }
+
+    #[test]
+    fn torn_extension_recovers_the_chain_before_it() {
+        let mut exercised = false;
+        for seed in 0..32u64 {
+            let (mut store, _fs) = open_fault(seed, StoreConfig::default());
+            store.put_checkpoint(b"snap-durable").unwrap();
+            store.extend_checkpoint(b"ext-durable").unwrap();
+            store.sync().unwrap();
+            store.fault_fail_syncs(1);
+            store.extend_checkpoint(b"ext-will-tear").unwrap();
+            assert!(store.sync().is_err());
+            assert!(!store.can_extend(), "a failed sync is a reason to snapshot");
+            store.fault_crash();
+            let rec = store.reopen().unwrap();
+            assert_eq!(rec.checkpoint.as_deref(), Some(b"snap-durable".as_slice()));
+            assert_eq!(rec.extensions[0], b"ext-durable".to_vec());
+            match rec.extensions.len() {
+                1 => exercised |= rec.wal_torn_tail,
+                2 => assert_eq!(rec.extensions[1], b"ext-will-tear".to_vec()),
+                n => panic!("seed {seed}: {n} extensions"),
+            }
+        }
+        assert!(exercised, "no seed in 0..32 tore the extension mid-record");
+    }
+
+    #[test]
+    fn a_record_this_store_did_not_write_ends_the_chain() {
+        let (mut store, mut fs) = open_fault(10, StoreConfig::default());
+        store.put_checkpoint(b"snap").unwrap();
+        store.extend_checkpoint(b"ext-1").unwrap();
+        Wal::new(CHECKPOINT_WAL).append(&mut fs, b"?").unwrap();
+        Wal::new(CHECKPOINT_WAL).append(&mut fs, &record_header(EXTENSION, 2)).unwrap();
+        let rec = store.reopen().unwrap();
+        assert_eq!(rec.checkpoint.as_deref(), Some(b"snap".as_slice()));
+        assert_eq!(rec.extensions, vec![b"ext-1".to_vec()]);
     }
 
     #[test]

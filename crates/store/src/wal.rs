@@ -21,8 +21,9 @@
 //!   ([`StoreError::Corrupt`](crate::StoreError)): the log's history
 //!   itself is damaged and replaying past the hole would be a lie.
 
+use crate::crc::{crc32, crc32_parts};
 use crate::vfs::Vfs;
-use crate::{crc32, StoreError};
+use crate::StoreError;
 
 /// A framed append-only log stored in a single [`Vfs`] file.
 ///
@@ -47,6 +48,17 @@ pub struct WalRecovery {
 
 const FRAME_HEADER: usize = 8;
 
+/// Appends the frame of the record `parts` concatenate to.
+fn push_frame(out: &mut Vec<u8>, parts: &[&[u8]]) {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    out.reserve(FRAME_HEADER + len);
+    out.extend_from_slice(&(len as u32).to_be_bytes());
+    out.extend_from_slice(&crc32_parts(parts).to_be_bytes());
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+}
+
 impl Wal {
     /// A log stored at `path` (relative, inside the store's [`Vfs`]).
     pub fn new(path: impl Into<String>) -> Self {
@@ -58,12 +70,21 @@ impl Wal {
         &self.path
     }
 
+    /// Bytes one record of `payload_len` bytes occupies in the file.
+    pub fn frame_len(payload_len: usize) -> u64 {
+        (FRAME_HEADER + payload_len) as u64
+    }
+
     /// Appends one framed record. Not durable until [`Wal::sync`].
     pub fn append(&self, vfs: &mut dyn Vfs, payload: &[u8]) -> Result<(), StoreError> {
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&crc32(payload).to_be_bytes());
-        frame.extend_from_slice(payload);
+        self.append_parts(vfs, &[payload])
+    }
+
+    /// Appends the concatenation of `parts` as one framed record, in one
+    /// write (a record is all-or-nothing at recovery).
+    pub fn append_parts(&self, vfs: &mut dyn Vfs, parts: &[&[u8]]) -> Result<(), StoreError> {
+        let mut frame = Vec::new();
+        push_frame(&mut frame, parts);
         vfs.append(&self.path, &frame)?;
         Ok(())
     }
@@ -163,13 +184,11 @@ impl Wal {
     /// Rewrites the log to contain only `records`, via the atomic
     /// temp-sync-rename idiom (used for compaction, so the checkpoint
     /// log does not grow without bound).
-    pub fn rewrite(&self, vfs: &mut dyn Vfs, records: &[Vec<u8>]) -> Result<(), StoreError> {
+    pub fn rewrite(&self, vfs: &mut dyn Vfs, records: &[&[u8]]) -> Result<(), StoreError> {
         let tmp = format!("{}.tmp", self.path);
         let mut bytes = Vec::new();
         for payload in records {
-            bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            bytes.extend_from_slice(&crc32(payload).to_be_bytes());
-            bytes.extend_from_slice(payload);
+            push_frame(&mut bytes, &[payload]);
         }
         if vfs.exists(&tmp) {
             vfs.remove(&tmp)?;
@@ -305,12 +324,24 @@ mod tests {
             wal.append(&mut fs, &[i; 100]).unwrap();
         }
         wal.sync(&mut fs).unwrap();
-        wal.rewrite(&mut fs, &[vec![9u8; 100]]).unwrap();
+        wal.rewrite(&mut fs, &[&[9u8; 100]]).unwrap();
         let rec = wal.read(&mut fs, true).unwrap();
         assert_eq!(rec.records, vec![vec![9u8; 100]]);
         // Rename made it durable: a crash changes nothing.
         fs.fault_crash();
         assert_eq!(wal.read(&mut fs, true).unwrap().records.len(), 1);
+    }
+
+    #[test]
+    fn parts_frame_as_their_concatenation() {
+        let (wal, mut fs) = wal_fs();
+        wal.append_parts(&mut fs, &[b"head-", b"", b"body"]).unwrap();
+        wal.append(&mut fs, b"head-body").unwrap();
+        let len = fs.len("test.wal").unwrap();
+        assert_eq!(len, 2 * Wal::frame_len(9));
+        let data = fs.read("test.wal").unwrap();
+        assert_eq!(data[..len as usize / 2], data[len as usize / 2..]);
+        assert_eq!(wal.read(&mut fs, true).unwrap().records, vec![b"head-body".to_vec(); 2]);
     }
 
     #[test]
