@@ -21,7 +21,7 @@ use pbc_crypto::schnorr_sig::{verify_batch, BatchItem, SchnorrSignature, Signing
 use pbc_crypto::sig::{KeyDirectory, Signature};
 use pbc_ledger::{ExecResult, StateStore, Version};
 use pbc_txn::validate::{validate_read_set, ValidationVerdict};
-use pbc_types::{EnterpriseId, Transaction};
+use pbc_types::{BlockBody, EnterpriseId, Transaction};
 
 /// A k-of-n endorsement policy over organizations.
 #[derive(Clone, Debug)]
@@ -317,7 +317,7 @@ impl EndorsingPipeline {
 }
 
 impl ExecutionPipeline for EndorsingPipeline {
-    fn process_block_sealed(&mut self, txs: Vec<Transaction>, seal: BlockSeal) -> BlockOutcome {
+    fn process_block_sealed(&mut self, txs: BlockBody, seal: BlockSeal) -> BlockOutcome {
         // Execute/endorse phase with policy checking. In the Schnorr
         // mode every endorsement of every transaction joins ONE batched
         // signature check — the whole block's verification cost is a

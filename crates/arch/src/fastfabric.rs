@@ -18,7 +18,7 @@ use crate::pipeline::{
 use pbc_ledger::{ChainLedger, StateStore, Version};
 use pbc_txn::validate::{validate_read_set, ValidationVerdict};
 use pbc_txn::DependencyGraph;
-use pbc_types::Transaction;
+use pbc_types::BlockBody;
 
 /// The FastFabric-style pipeline.
 #[derive(Debug, Default)]
@@ -50,7 +50,7 @@ impl FastFabricPipeline {
 }
 
 impl ExecutionPipeline for FastFabricPipeline {
-    fn process_block_sealed(&mut self, txs: Vec<Transaction>, seal: BlockSeal) -> BlockOutcome {
+    fn process_block_sealed(&mut self, txs: BlockBody, seal: BlockSeal) -> BlockOutcome {
         // Endorse in parallel (same as XOV).
         let results = execute_parallel(&txs, &self.state);
         let (height, txs) = seal_block(&mut self.ledger, seal, txs);
@@ -111,7 +111,7 @@ mod tests {
     use super::*;
     use crate::xov::XovPipeline;
     use pbc_types::tx::{balance_of, balance_value};
-    use pbc_types::{ClientId, Op, TxId};
+    use pbc_types::{ClientId, Op, Transaction, TxId};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn transfer(id: u64, from: &str, to: &str, amount: u64) -> Transaction {

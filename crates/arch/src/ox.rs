@@ -10,7 +10,7 @@
 
 use crate::pipeline::{seal_block, trace_stage, BlockOutcome, BlockSeal, ExecutionPipeline};
 use pbc_ledger::{execute_and_apply, ChainLedger, StateStore, Version};
-use pbc_types::Transaction;
+use pbc_types::BlockBody;
 
 /// The order-execute pipeline.
 #[derive(Debug, Default)]
@@ -32,7 +32,7 @@ impl OxPipeline {
 }
 
 impl ExecutionPipeline for OxPipeline {
-    fn process_block_sealed(&mut self, txs: Vec<Transaction>, seal: BlockSeal) -> BlockOutcome {
+    fn process_block_sealed(&mut self, txs: BlockBody, seal: BlockSeal) -> BlockOutcome {
         let (height, txs) = seal_block(&mut self.ledger, seal, txs);
         let mut outcome = BlockOutcome { sequential_steps: txs.len(), ..Default::default() };
         for (i, tx) in txs.iter().enumerate() {
@@ -67,7 +67,7 @@ mod tests {
     use super::*;
     use pbc_ledger::Version;
     use pbc_types::tx::{balance_of, balance_value};
-    use pbc_types::{ClientId, Op, TxId};
+    use pbc_types::{ClientId, Op, Transaction, TxId};
 
     fn transfer(id: u64, from: &str, to: &str, amount: u64) -> Transaction {
         Transaction::new(

@@ -15,7 +15,7 @@ use crate::pipeline::{
 };
 use pbc_ledger::{ChainLedger, StateStore, Version};
 use pbc_txn::DependencyGraph;
-use pbc_types::Transaction;
+use pbc_types::BlockBody;
 
 /// The ParBlockchain-style pipeline.
 #[derive(Debug, Default)]
@@ -37,7 +37,7 @@ impl OxiiPipeline {
 }
 
 impl ExecutionPipeline for OxiiPipeline {
-    fn process_block_sealed(&mut self, txs: Vec<Transaction>, seal: BlockSeal) -> BlockOutcome {
+    fn process_block_sealed(&mut self, txs: BlockBody, seal: BlockSeal) -> BlockOutcome {
         let (height, txs) = seal_block(&mut self.ledger, seal, txs);
         // Orderer side: dependency graph over the ordered block.
         let graph = DependencyGraph::build(txs);
@@ -109,7 +109,7 @@ mod tests {
     use super::*;
     use crate::ox::OxPipeline;
     use pbc_types::tx::balance_value;
-    use pbc_types::{ClientId, Op, TxId};
+    use pbc_types::{ClientId, Op, Transaction, TxId};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn transfer(id: u64, from: &str, to: &str, amount: u64) -> Transaction {

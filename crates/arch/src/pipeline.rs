@@ -1,7 +1,7 @@
 //! The common pipeline interface and parallel-execution helpers.
 
 use pbc_ledger::{ChainLedger, ExecResult, StateStore};
-use pbc_types::{Block, NodeId, Transaction, TxId};
+use pbc_types::{Block, BlockBody, NodeId, Transaction, TxId};
 use std::sync::OnceLock;
 
 /// Per-block accounting every pipeline reports.
@@ -73,15 +73,16 @@ impl BlockSeal {
 /// batches, commits blocks to a ledger, maintains the state.
 pub trait ExecutionPipeline {
     /// Processes one block's worth of transactions, sealing the block
-    /// with consensus-provided metadata.
-    fn process_block_sealed(&mut self, txs: Vec<Transaction>, seal: BlockSeal) -> BlockOutcome;
+    /// with consensus-provided metadata. The body is sealed as given, so
+    /// replicas handed clones of one decided body share its Merkle root.
+    fn process_block_sealed(&mut self, txs: BlockBody, seal: BlockSeal) -> BlockOutcome;
 
     /// Processes one block with a [`BlockSeal::standalone`] seal —
     /// the path for benchmarks and single-node pipeline tests that run
     /// without a consensus layer.
     fn process_block(&mut self, txs: Vec<Transaction>) -> BlockOutcome {
         let seal = BlockSeal::standalone(self.ledger().height().next().0);
-        self.process_block_sealed(txs, seal)
+        self.process_block_sealed(txs.into(), seal)
     }
 
     /// The committed state.
@@ -174,11 +175,12 @@ pub fn spin(work: u32) {
 /// pipelines) and returns its height and the sealed transactions, which
 /// the caller borrows from the ledger instead of keeping a copy. The
 /// seal's proposer and timestamp are hashed into the header, so replicas
-/// must agree on the seal to agree on the chain.
+/// must agree on the seal to agree on the chain; the transaction root
+/// comes from the body's memo.
 pub fn seal_block(
     ledger: &mut ChainLedger,
     seal: BlockSeal,
-    txs: Vec<Transaction>,
+    txs: impl Into<BlockBody>,
 ) -> (u64, &[Transaction]) {
     let height = ledger.height().next();
     let block = Block::build(height, ledger.head_hash(), seal.proposer, seal.time, txs);

@@ -20,7 +20,7 @@ use crate::pipeline::{
 use pbc_ledger::{ChainLedger, StateStore, Version};
 use pbc_txn::validate::{validate_read_set, ValidationVerdict};
 use pbc_txn::{fabric_pp_reorder, fabric_sharp_reorder};
-use pbc_types::Transaction;
+use pbc_types::BlockBody;
 
 /// Which in-block reordering runs before validation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -77,7 +77,7 @@ impl XovPipeline {
 }
 
 impl ExecutionPipeline for XovPipeline {
-    fn process_block_sealed(&mut self, txs: Vec<Transaction>, seal: BlockSeal) -> BlockOutcome {
+    fn process_block_sealed(&mut self, txs: BlockBody, seal: BlockSeal) -> BlockOutcome {
         // 1. Execute/endorse in parallel against the committed snapshot.
         let results = execute_parallel(&txs, &self.state);
         // 2. Order: seal the block in batch order.
@@ -136,7 +136,7 @@ impl ExecutionPipeline for XovPipeline {
 mod tests {
     use super::*;
     use pbc_types::tx::{balance_of, balance_value};
-    use pbc_types::{ClientId, Op, TxId};
+    use pbc_types::{ClientId, Op, Transaction, TxId};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn transfer(id: u64, from: &str, to: &str, amount: u64) -> Transaction {

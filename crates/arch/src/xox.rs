@@ -13,7 +13,7 @@ use crate::pipeline::{
 };
 use pbc_ledger::{execute_and_apply, ChainLedger, StateStore, Version};
 use pbc_txn::validate::{validate_read_set, ValidationVerdict};
-use pbc_types::Transaction;
+use pbc_types::BlockBody;
 
 /// The XOX pipeline.
 #[derive(Debug, Default)]
@@ -35,7 +35,7 @@ impl XoxPipeline {
 }
 
 impl ExecutionPipeline for XoxPipeline {
-    fn process_block_sealed(&mut self, txs: Vec<Transaction>, seal: BlockSeal) -> BlockOutcome {
+    fn process_block_sealed(&mut self, txs: BlockBody, seal: BlockSeal) -> BlockOutcome {
         // Pre-order execution (endorsement).
         let results = execute_parallel(&txs, &self.state);
         let (height, txs) = seal_block(&mut self.ledger, seal, txs);
@@ -91,7 +91,7 @@ mod tests {
     use super::*;
     use crate::xov::XovPipeline;
     use pbc_types::tx::{balance_of, balance_value};
-    use pbc_types::{ClientId, Op, TxId};
+    use pbc_types::{ClientId, Op, Transaction, TxId};
 
     fn transfer(id: u64, from: &str, to: &str, amount: u64) -> Transaction {
         Transaction::new(

@@ -9,7 +9,8 @@
 //! `e12_payload` measures what the protocols carry through that loop:
 //! `Batch` clone/digest/wire-size and whole PBFT/Raft runs over batches.
 //! `e12_block_path` measures what a replica does with a decided batch:
-//! transaction clone, Merkle root, seal, one OXII block, and the
+//! transaction clone, Merkle root, seal, one batch sealed by n replicas
+//! (one shared body against a copy per ledger), one OXII block, and the
 //! inline-vs-threads crossover behind `pbc-arch`'s `par_map`.
 //! `e12_persist` measures `persist()` on a PBFT `DurableNet` at decided-log
 //! length 8 / 64 / 512: a call writes what changed, so it costs the same
@@ -32,9 +33,10 @@ use pbc_core::Batch;
 use pbc_ledger::ChainLedger;
 use pbc_sim::NetworkConfig;
 use pbc_txn::DependencyGraph;
-use pbc_types::{Block, Transaction};
+use pbc_types::{Block, BlockBody, Transaction};
 use pbc_workload::blockbench::{BlockbenchWorkload, Contract};
 use pbc_workload::{PaymentWorkload, SmallBankWorkload};
+use std::time::{Duration, Instant};
 
 fn smoke() -> bool {
     std::env::var("E12_SMOKE").is_ok_and(|v| v == "1")
@@ -264,11 +266,30 @@ fn spawn_map<R: Send>(items: &[u32], workers: usize, f: impl Fn(&u32) -> R + Syn
     })
 }
 
+/// One decided batch of `txs` sealed into `n` fresh ledgers, set-up
+/// untimed: every ledger is handed a clone of one body (`shared`), which
+/// is rooted once for all of them, or its own copy of the transactions,
+/// which each ledger roots itself. Leaf hashes are memoised either way.
+fn seal_on_replicas(txs: &[Transaction], n: usize, shared: bool, iters: u64) -> Duration {
+    let mut total = Duration::ZERO;
+    for _ in 0..iters {
+        let mut ledgers: Vec<ChainLedger> = (0..n).map(|_| ChainLedger::new()).collect();
+        let body = BlockBody::from(txs.to_vec());
+        let start = Instant::now();
+        for ledger in &mut ledgers {
+            let txs = if shared { body.clone() } else { txs.to_vec().into() };
+            std::hint::black_box(seal_block(ledger, BlockSeal::standalone(1), txs).0);
+        }
+        total += start.elapsed();
+    }
+    total
+}
+
 fn bench_block_path(c: &mut Criterion) {
     header(
         "E12i: sealing and executing a decided block",
-        "a transaction is hashed once and shared; threads are spawned only for work larger \
-         than the spawn",
+        "a transaction is hashed once and shared; a decided batch is rooted once for all \
+         replicas; threads are spawned only for work larger than the spawn",
     );
     let io_heavy = BlockbenchWorkload {
         contract: Contract::IoHeavy,
@@ -315,6 +336,18 @@ fn bench_block_path(c: &mut Criterion) {
                 seal_block(&mut ledger, BlockSeal::standalone(1), all.clone()).0
             })
         });
+    }
+    let decided = &loads[0].1;
+    for k in [4usize, 8, 32, 128] {
+        let txs = &decided[..k];
+        Block::tx_root(txs); // leaves memoised, as after ordering
+        for n in [3usize, 4, 32] {
+            for (mode, shared) in [("shared_body", true), ("vec_per_ledger", false)] {
+                g.bench_function(BenchmarkId::new(format!("replicas_seal/{mode}/n{n}"), k), |b| {
+                    b.iter_custom(|iters| seal_on_replicas(txs, n, shared, iters))
+                });
+            }
+        }
     }
     let mut oxii = OxiiPipeline::with_state(io_heavy.initial_state());
     g.bench_function("oxii_process_block/ioheavy/128", |b| {

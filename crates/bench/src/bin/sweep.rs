@@ -35,7 +35,7 @@
 //! lane-scaling curve (every lane count asserted bit-for-bit identical
 //! to the sequential engine), the cancellation-heavy churn microbench
 //! with its timer-conservation identity, and scalar-vs-batched rates
-//! for SHA-256, Merkle level construction and Schnorr verification.
+//! for SHA-256 and Schnorr verification.
 //! `E16_SMOKE=1` shrinks every budget for CI.
 //!
 //! `sweep --e2e [out.json]` drives the full client path — seeded open-
@@ -562,9 +562,8 @@ fn store_smoke(out_path: &str) {
 /// is on — `cores` is in the snapshot, and on a single-core host the
 /// lane curve measures synchronization overhead, not parallelism.
 fn par_bench(out_path: &str) {
-    use pbc_crypto::merkle::{node_hash, MerkleTree};
     use pbc_crypto::schnorr_sig::{verify_batch, BatchItem, SigningKey};
-    use pbc_crypto::{sha256, sha256_multi, Hash};
+    use pbc_crypto::{sha256, sha256_multi};
 
     const SEED: u64 = 0xBA5E;
     let smoke = std::env::var("E16_SMOKE").is_ok_and(|v| v == "1");
@@ -644,35 +643,7 @@ fn par_bench(out_path: &str) {
         multi_hps / scalar_hps
     );
 
-    // -- 4. Merkle level construction: batched vs scalar fold ----------
-    let leaves: usize = if smoke { 1 << 11 } else { 1 << 14 };
-    let leaf_hashes: Vec<Hash> = (0..leaves as u64).map(|i| sha256(&i.to_be_bytes())).collect();
-    let t2 = Instant::now();
-    let tree = MerkleTree::from_leaf_hashes(leaf_hashes.clone());
-    let batched_secs = t2.elapsed().as_secs_f64();
-    let t3 = Instant::now();
-    let mut level = leaf_hashes;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut i = 0;
-        while i + 1 < level.len() {
-            next.push(node_hash(&level[i], &level[i + 1]));
-            i += 2;
-        }
-        if level.len() % 2 == 1 {
-            next.push(level[level.len() - 1]);
-        }
-        level = next;
-    }
-    let scalar_secs = t3.elapsed().as_secs_f64();
-    assert_eq!(tree.root(), level[0], "batched and scalar Merkle roots must agree");
-    let merkle_speedup = scalar_secs / batched_secs;
-    println!(
-        "merkle build {leaves} leaves: batched {batched_secs:.4}s, scalar fold {scalar_secs:.4}s \
-         ({merkle_speedup:.2}x), roots agree"
-    );
-
-    // -- 5. Batched Schnorr verification vs scalar ---------------------
+    // -- 4. Batched Schnorr verification vs scalar ---------------------
     let batch: usize = if smoke { 64 } else { 256 };
     let items_owned: Vec<(SigningKey, Vec<u8>)> = (0..batch)
         .map(|i| (SigningKey::derive(SEED, i as u64), format!("endorse-{i}").into_bytes()))
@@ -706,8 +677,6 @@ fn par_bench(out_path: &str) {
          \"timers_cancelled\": {}, \"conserves_timers\": true}},\n  \
          \"sha256_64b\": {{\"messages\": {hash_msgs}, \"scalar_hashes_per_sec\": {scalar_hps:.0}, \
          \"wide8_hashes_per_sec\": {multi_hps:.0}, \"speedup\": {:.4}}},\n  \
-         \"merkle_build\": {{\"leaves\": {leaves}, \"batched_secs\": {batched_secs:.6}, \
-         \"scalar_secs\": {scalar_secs:.6}, \"speedup\": {merkle_speedup:.4}}},\n  \
          \"schnorr_verify\": {{\"batch\": {batch}, \"scalar_sigs_per_sec\": {scalar_vps:.0}, \
          \"batched_sigs_per_sec\": {batch_vps:.0}, \"speedup\": {:.4}}}\n}}\n",
         seq.events,

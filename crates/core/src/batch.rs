@@ -2,11 +2,13 @@
 //!
 //! A [`Batch`] is an immutable shared value: cloning bumps a reference
 //! count, and the digest and wire size are computed once, on first use,
-//! for every clone on every simulated node. See DESIGN.md §7.
+//! for every clone on every simulated node. Its transactions are a
+//! [`BlockBody`], the body every replica seals, so the block's Merkle
+//! root is computed once too. See DESIGN.md §7.
 
 use pbc_consensus::{Payload, PersistPayload};
 use pbc_types::encode::{CanonicalEncode, Decoder, Encoder};
-use pbc_types::Transaction;
+use pbc_types::{BlockBody, Transaction};
 use std::sync::{Arc, OnceLock};
 
 /// A transaction batch proposed to consensus (one batch = one block).
@@ -20,8 +22,9 @@ pub struct Batch(Arc<BatchInner>);
 pub struct BatchInner {
     /// Batch sequence number assigned by the submitting client layer.
     pub id: u64,
-    /// The transactions, in client-submission order.
-    pub txs: Vec<Transaction>,
+    /// The transactions, in client-submission order: the body each
+    /// replica's block is sealed over.
+    pub txs: BlockBody,
     /// `(digest_u64, wire_size)`, both read off one canonical encoding.
     /// Lazy: constructors and decoders hash nothing, so building batches
     /// that are never ordered (or building them inside a timed set-up
@@ -32,7 +35,7 @@ pub struct BatchInner {
 impl Batch {
     /// Creates a batch.
     pub fn new(id: u64, txs: Vec<Transaction>) -> Self {
-        Batch(Arc::new(BatchInner { id, txs, memo: OnceLock::new() }))
+        Batch(Arc::new(BatchInner { id, txs: txs.into(), memo: OnceLock::new() }))
     }
 
     fn memo(&self) -> (u64, usize) {

@@ -751,11 +751,12 @@ mod tests {
         }
     }
 
-    /// A decided transaction is one allocation on all n replicas: the
-    /// handle in every replica's sealed block points at the body the
-    /// ordering layer decided, so the leaf-hash memo is shared too and
-    /// each distinct transaction is hashed at most once (counted in
-    /// `pbc-types`' block tests, where the counter lives).
+    /// A decided batch's body is one allocation on all n replicas: every
+    /// replica's sealed block holds the body the ordering layer decided,
+    /// so its Merkle root memo is shared and the leaf-hash memos of the
+    /// transactions in it too — each batch is rooted and each distinct
+    /// transaction hashed at most once (counted in `pbc-types`' block
+    /// tests, where the counters live).
     #[test]
     fn replicas_seal_the_decided_transactions_without_copying_them() {
         let (chain, report) = run(ConsensusKind::Pbft, ArchKind::Oxii, 4, 96);
@@ -766,7 +767,9 @@ mod tests {
             let blocks = &chain.node_ledger(node).blocks()[1..];
             assert_eq!(blocks.len(), decided.len());
             for (block, (_, batch)) in blocks.iter().zip(&decided) {
-                assert_eq!(block.txs.len(), batch.txs.len());
+                assert!(!batch.txs.is_empty());
+                // Through `Deref`: the address of the one shared list.
+                assert!(std::ptr::eq(&block.txs[..], &batch.txs[..]), "node {node} sealed a copy");
                 for (sealed, ordered) in block.txs.iter().zip(&batch.txs) {
                     assert!(std::ptr::eq::<pbc_types::tx::TxInner>(&**sealed, &**ordered));
                 }

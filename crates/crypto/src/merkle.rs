@@ -30,32 +30,12 @@ fn node_preimage(left: &Hash, right: &Hash) -> [u8; 65] {
 }
 
 /// Computes one interior level from `prev`: adjacent pairs hashed with
-/// [`node_hash`], a trailing odd node promoted unchanged. Pairs run
-/// through the lane-interleaved SHA-256 kernel 8- then 4-wide, with a
-/// scalar tail — every interior node of every tree build goes through
-/// the batched compressor, and the outputs are bit-for-bit [`node_hash`].
+/// [`node_hash`], a trailing odd node promoted unchanged. Scalar on
+/// purpose: one 65-byte node costs less through the scalar compressor
+/// than per lane through `sha256_multi`, and a block root over 8–128
+/// memoised leaves is faster this way too (EXPERIMENTS.md E23).
 fn hash_level(prev: &[Hash]) -> Vec<Hash> {
-    let pairs = prev.len() / 2;
-    let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-    let mut i = 0;
-    while i + 8 <= pairs {
-        let bufs: [[u8; 65]; 8] =
-            std::array::from_fn(|k| node_preimage(&prev[2 * (i + k)], &prev[2 * (i + k) + 1]));
-        let refs: [&[u8]; 8] = std::array::from_fn(|k| bufs[k].as_slice());
-        next.extend(sha256_multi(&refs));
-        i += 8;
-    }
-    if i + 4 <= pairs {
-        let bufs: [[u8; 65]; 4] =
-            std::array::from_fn(|k| node_preimage(&prev[2 * (i + k)], &prev[2 * (i + k) + 1]));
-        let refs: [&[u8]; 4] = std::array::from_fn(|k| bufs[k].as_slice());
-        next.extend(sha256_multi(&refs));
-        i += 4;
-    }
-    while i < pairs {
-        next.push(node_hash(&prev[2 * i], &prev[2 * i + 1]));
-        i += 1;
-    }
+    let mut next: Vec<Hash> = prev.chunks_exact(2).map(|p| node_hash(&p[0], &p[1])).collect();
     if prev.len() % 2 == 1 {
         // Odd node: promote unchanged.
         next.push(prev[prev.len() - 1]);
@@ -422,9 +402,9 @@ mod tests {
 
     #[test]
     fn batched_levels_match_scalar_reference() {
-        // The lane-interleaved level builder must agree with a plain
-        // pairwise fold at every size that exercises the 8-wide, 4-wide
-        // and scalar-tail paths plus odd-node promotion.
+        // The level builder must agree with a plain pairwise fold at
+        // every size, odd-node promotion at one and at several levels
+        // included.
         fn scalar_root(mut level: Vec<Hash>) -> Hash {
             while level.len() > 1 {
                 let mut next = Vec::new();

@@ -182,8 +182,7 @@ pub fn sha256(data: &[u8]) -> Hash {
 /// `L` lanes with the same straight-line arithmetic, which LLVM
 /// auto-vectorizes into SIMD at `L = 4` / `L = 8`. The digests are
 /// bit-for-bit [`sha256`] of each message — this is a throughput knob
-/// for Merkle-level construction and batch validation, never a
-/// different hash.
+/// for batched proof validation, never a different hash.
 ///
 /// # Panics
 /// Panics unless all `L` messages have the same length (lanes advance

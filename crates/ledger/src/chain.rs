@@ -13,7 +13,9 @@ pub enum ChainError {
         /// Height the block carried.
         got: Height,
     },
-    /// The block's `prev` pointer doesn't match the head's hash.
+    /// The block's `prev` pointer doesn't match the head's hash (or, from
+    /// [`ChainLedger::verify`], the head hash the ledger keeps doesn't
+    /// match its head's header).
     BrokenLink {
         /// Hash of the current head.
         expected: Hash,
@@ -42,6 +44,8 @@ impl std::error::Error for ChainError {}
 #[derive(Clone, Debug)]
 pub struct ChainLedger {
     blocks: Vec<Block>,
+    /// The head's header hash, computed once when the head was appended.
+    head_hash: Hash,
 }
 
 impl Default for ChainLedger {
@@ -53,7 +57,8 @@ impl Default for ChainLedger {
 impl ChainLedger {
     /// A fresh ledger holding only the genesis block.
     pub fn new() -> Self {
-        ChainLedger { blocks: vec![Block::genesis()] }
+        let genesis = Block::genesis();
+        ChainLedger { head_hash: genesis.hash(), blocks: vec![genesis] }
     }
 
     /// The current head block.
@@ -61,9 +66,9 @@ impl ChainLedger {
         self.blocks.last().expect("chain always has genesis")
     }
 
-    /// The hash of the head block.
+    /// The hash of the head block, kept since it was appended.
     pub fn head_hash(&self) -> Hash {
-        self.head().hash()
+        self.head_hash
     }
 
     /// Height of the head block.
@@ -105,19 +110,23 @@ impl ChainLedger {
                 got: block.header.height,
             });
         }
-        let expected_prev = self.head_hash();
-        if block.header.prev != expected_prev {
-            return Err(ChainError::BrokenLink { expected: expected_prev, got: block.header.prev });
+        if block.header.prev != self.head_hash {
+            return Err(ChainError::BrokenLink {
+                expected: self.head_hash,
+                got: block.header.prev,
+            });
         }
         if !block.verify_tx_root() {
             return Err(ChainError::BadTxRoot);
         }
+        self.head_hash = block.hash();
         self.blocks.push(block);
         Ok(())
     }
 
     /// Re-verifies the entire chain from genesis (hash links, heights,
-    /// transaction roots). Used by auditors and in tests.
+    /// transaction roots), re-hashing every header rather than trusting
+    /// the kept head hash. Used by auditors and in tests.
     pub fn verify(&self) -> Result<(), ChainError> {
         for i in 1..self.blocks.len() {
             let prev = &self.blocks[i - 1];
@@ -134,6 +143,10 @@ impl ChainLedger {
             if !cur.verify_tx_root() {
                 return Err(ChainError::BadTxRoot);
             }
+        }
+        let head = self.head().hash();
+        if head != self.head_hash {
+            return Err(ChainError::BrokenLink { expected: head, got: self.head_hash });
         }
         Ok(())
     }
@@ -179,11 +192,13 @@ mod tests {
         assert!(matches!(l.append(b), Err(ChainError::BrokenLink { .. })));
     }
 
+    /// A body swapped after the block was built carries a root the
+    /// header never committed to.
     #[test]
     fn tampered_body_rejected() {
         let mut l = ChainLedger::new();
         let mut b = block_on(&l, vec![some_tx(1)]);
-        b.txs[0] = some_tx(2); // header root now stale
+        b.txs = vec![some_tx(2)].into(); // header root now stale
         assert_eq!(l.append(b), Err(ChainError::BadTxRoot));
     }
 
@@ -194,8 +209,46 @@ mod tests {
         l.append(block_on(&l, vec![some_tx(2)])).unwrap();
         l.verify().unwrap();
         // Tamper with a middle block's body.
-        l.blocks[1].txs[0] = some_tx(9);
+        l.blocks[1].txs = vec![some_tx(9)].into();
         assert!(l.verify().is_err());
+    }
+
+    /// Nothing links to the head yet, so only the kept head hash can
+    /// catch an edit to the head's header; `verify()` re-hashes it.
+    #[test]
+    fn verify_detects_an_edited_head_header() {
+        let mut l = ChainLedger::new();
+        l.append(block_on(&l, vec![some_tx(1)])).unwrap();
+        l.append(block_on(&l, vec![some_tx(2)])).unwrap();
+        l.verify().unwrap();
+        l.blocks[2].header.time += 1;
+        assert!(matches!(l.verify(), Err(ChainError::BrokenLink { .. })));
+    }
+
+    /// The kept head hash is the head's header hash after every append,
+    /// survives a clone, and does not move when an append is rejected.
+    #[test]
+    fn head_hash_is_kept_and_rejections_leave_it() {
+        let mut l = ChainLedger::new();
+        assert_eq!(l.head_hash(), l.head().hash());
+        for i in 0..16 {
+            l.append(block_on(&l, vec![some_tx(i), some_tx(100 + i)])).unwrap();
+            assert_eq!(l.head_hash(), l.head().hash(), "after append {i}");
+        }
+        let kept = l.head_hash();
+        let wrong_height = Block::build(Height(99), kept, NodeId(0), 1, vec![some_tx(1)]);
+        assert!(matches!(l.append(wrong_height), Err(ChainError::WrongHeight { .. })));
+        let broken = Block::build(l.height().next(), Hash::ZERO, NodeId(0), 1, vec![some_tx(1)]);
+        assert!(matches!(l.append(broken), Err(ChainError::BrokenLink { .. })));
+        let mut bad_root = block_on(&l, vec![some_tx(1)]);
+        bad_root.txs = vec![some_tx(2)].into();
+        assert_eq!(l.append(bad_root), Err(ChainError::BadTxRoot));
+        assert_eq!(l.head_hash(), kept, "rejected appends leave the head alone");
+        assert_eq!(l.len(), 17);
+        let clone = l.clone();
+        assert_eq!(clone.head_hash(), kept);
+        assert_eq!(clone.head_hash(), clone.head().hash());
+        l.verify().unwrap();
     }
 
     #[test]

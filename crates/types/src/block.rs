@@ -10,6 +10,7 @@ use crate::tx::Transaction;
 use pbc_crypto::merkle::MerkleTree;
 use pbc_crypto::Hash;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// A block header.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,25 +44,108 @@ impl BlockHeader {
     }
 }
 
+/// A block body: the ordered transaction list, as an immutable shared
+/// value.
+///
+/// A handle to one `Arc`-shared list, read as a `[Transaction]` through
+/// `Deref`. Cloning bumps a reference count, and the Merkle root over the
+/// list is computed once, on first use, for every clone — so the n
+/// replicas sealing one decided batch fold its interior nodes once, not
+/// twice each. A different list is a different body with a cold memo.
+/// See DESIGN.md §7.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct BlockBody(Arc<BodyInner>);
+
+struct BodyInner {
+    txs: Vec<Transaction>,
+    /// `Block::tx_root(&txs)`. Lazy: building a body hashes nothing, so
+    /// batches that are never sealed (or are built inside a timed set-up
+    /// section) cost an allocation and no SHA-256.
+    root: OnceLock<Hash>,
+}
+
+#[cfg(test)]
+thread_local! {
+    static ROOTS_COMPUTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Body roots computed on this thread so far (the memo's misses).
+#[cfg(test)]
+pub(crate) fn roots_computed() -> u64 {
+    ROOTS_COMPUTED.with(|c| c.get())
+}
+
+impl BlockBody {
+    /// The Merkle root over the transactions: [`Block::tx_root`] of the
+    /// list, computed on first use and shared by every clone.
+    pub fn root(&self) -> Hash {
+        *self.0.root.get_or_init(|| {
+            #[cfg(test)]
+            ROOTS_COMPUTED.with(|c| c.set(c.get() + 1));
+            Block::tx_root(&self.0.txs)
+        })
+    }
+}
+
+impl From<Vec<Transaction>> for BlockBody {
+    fn from(txs: Vec<Transaction>) -> Self {
+        BlockBody(Arc::new(BodyInner { txs, root: OnceLock::new() }))
+    }
+}
+
+impl std::ops::Deref for BlockBody {
+    type Target = [Transaction];
+
+    fn deref(&self) -> &[Transaction] {
+        &self.0.txs
+    }
+}
+
+impl<'a> IntoIterator for &'a BlockBody {
+    type Item = &'a Transaction;
+    type IntoIter = std::slice::Iter<'a, Transaction>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.txs.iter()
+    }
+}
+
+impl PartialEq for BlockBody {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0.txs == other.0.txs
+    }
+}
+
+impl Eq for BlockBody {}
+
+/// Prints the list exactly as the `Vec<Transaction>` it replaced did.
+impl std::fmt::Debug for BlockBody {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.txs.fmt(f)
+    }
+}
+
 /// A block: header plus the batched transactions.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Block {
     /// The header (chained by hash).
     pub header: BlockHeader,
     /// The ordered transaction batch.
-    pub txs: Vec<Transaction>,
+    pub txs: BlockBody,
 }
 
 impl Block {
-    /// Builds a block over `txs`, computing the Merkle transaction root.
+    /// Builds a block over `txs`, taking the Merkle transaction root from
+    /// the body's memo.
     pub fn build(
         height: Height,
         prev: Hash,
         proposer: NodeId,
         time: u64,
-        txs: Vec<Transaction>,
+        txs: impl Into<BlockBody>,
     ) -> Block {
-        let tx_root = Self::tx_root(&txs);
+        let txs = txs.into();
+        let tx_root = txs.root();
         Block { header: BlockHeader { height, prev, tx_root, proposer, time }, txs }
     }
 
@@ -72,7 +156,8 @@ impl Block {
 
     /// Computes the Merkle root over a transaction batch from the
     /// transactions' memoised leaf hashes: only the interior nodes are
-    /// hashed when the leaves are already known.
+    /// hashed when the leaves are already known. The definition the body
+    /// memo ([`BlockBody::root`]) caches.
     pub fn tx_root(txs: &[Transaction]) -> Hash {
         MerkleTree::from_leaf_hashes(txs.iter().map(Transaction::leaf_hash).collect()).root()
     }
@@ -82,9 +167,9 @@ impl Block {
         self.header.hash()
     }
 
-    /// Checks internal consistency: the header's root matches the body.
+    /// Checks internal consistency: the header's root matches the body's.
     pub fn verify_tx_root(&self) -> bool {
-        Self::tx_root(&self.txs) == self.header.tx_root
+        self.txs.root() == self.header.tx_root
     }
 }
 
@@ -116,11 +201,27 @@ mod tests {
         assert_ne!(b1.hash(), b1_alt.hash(), "prev pointer must affect the hash");
     }
 
+    /// A body cannot be edited in place: tampering swaps in a different
+    /// body, whose cold memo is folded from its own transactions.
     #[test]
     fn tx_root_detects_tampering() {
         let mut b = Block::build(Height(1), Hash::ZERO, NodeId(1), 10, sample_txs(3));
         assert!(b.verify_tx_root());
-        b.txs[0] = Transaction::new(TxId(99), ClientId(9), vec![]);
+        let mut txs = b.txs.to_vec();
+        txs[0] = Transaction::new(TxId(99), ClientId(9), vec![]);
+        b.txs = txs.into();
+        assert!(!b.verify_tx_root());
+    }
+
+    /// The other half of the check: the body's memo is warm, and it is
+    /// the header that changed.
+    #[test]
+    fn tx_root_detects_an_edited_header_root() {
+        let mut b = Block::build(Height(1), Hash::ZERO, NodeId(1), 10, sample_txs(3));
+        assert!(b.verify_tx_root());
+        b.header.tx_root = Block::tx_root(&sample_txs(2));
+        assert!(!b.verify_tx_root());
+        b.header.tx_root = Hash::ZERO;
         assert!(!b.verify_tx_root());
     }
 
@@ -133,10 +234,10 @@ mod tests {
         assert_ne!(r1, r2);
     }
 
-    /// The root folded from memoised leaf hashes is the root of the tree
-    /// built over the re-encoded leaves: empty, single, odd-node
-    /// promotion at one and at several levels, a full block, and VM
-    /// payloads.
+    /// The root folded from memoised leaf hashes, and the body's memo of
+    /// it, are the root of the tree built over the re-encoded leaves:
+    /// empty, single, odd-node promotion at one and at several levels, a
+    /// full block, and VM payloads.
     #[test]
     fn tx_root_matches_the_tree_over_canonical_leaves() {
         let by_definition = |txs: &[Transaction]| {
@@ -147,8 +248,10 @@ mod tests {
             let txs = sample_txs(n);
             assert_eq!(Block::tx_root(&txs), by_definition(&txs), "n={n}");
             assert_eq!(Block::tx_root(&txs), by_definition(&txs), "n={n}, leaves now memoised");
+            assert_eq!(BlockBody::from(txs.clone()).root(), by_definition(&txs), "n={n}, body");
         }
         assert_eq!(Block::tx_root(&[]), Hash::ZERO);
+        assert_eq!(BlockBody::from(vec![]).root(), Hash::ZERO);
         let invokes: Vec<Transaction> = (0..5u64)
             .map(|i| {
                 let call = crate::tx::VmCall {
@@ -162,17 +265,19 @@ mod tests {
             })
             .collect();
         assert_eq!(Block::tx_root(&invokes), by_definition(&invokes));
+        assert_eq!(BlockBody::from(invokes.clone()).root(), by_definition(&invokes));
     }
 
     /// What `n` replicas do with one decided batch — each builds the
     /// block and each ledger re-verifies its root on append — hashes
-    /// every transaction once, not 2·n times.
+    /// every transaction once and folds the interior once, not 2·n
+    /// times, when they share the batch's body.
     #[test]
     fn replicas_sealing_the_same_transactions_hash_each_leaf_once() {
-        let computed = crate::tx::leaf_hashes_computed;
-        let decided = sample_txs(64);
-        let before = computed();
-        let roots: Vec<Hash> = (0..4)
+        let (leaves, roots) = (crate::tx::leaf_hashes_computed, roots_computed);
+        let decided: BlockBody = sample_txs(64).into();
+        let (leaves_before, roots_before) = (leaves(), roots());
+        let sealed: Vec<Hash> = (0..4)
             .map(|replica| {
                 let block =
                     Block::build(Height(1), Hash::ZERO, NodeId(replica), 10, decided.clone());
@@ -180,8 +285,64 @@ mod tests {
                 block.header.tx_root
             })
             .collect();
-        assert_eq!(computed() - before, 64);
-        assert!(roots.iter().all(|r| *r == roots[0]));
+        assert_eq!(leaves() - leaves_before, 64);
+        assert_eq!(roots() - roots_before, 1, "the first replica's root serves all four");
+        assert!(sealed.iter().all(|r| *r == sealed[0]));
+    }
+
+    /// Building a body hashes nothing; its root is computed by the first
+    /// caller and shared by every clone.
+    #[test]
+    fn body_root_is_lazy_and_shared_by_clones() {
+        let before = roots_computed();
+        let body = BlockBody::from(sample_txs(5));
+        let separate = BlockBody::from(sample_txs(5));
+        let clone = body.clone();
+        assert_eq!(roots_computed(), before, "building and cloning fold nothing");
+        assert!(body.0.root.get().is_none());
+
+        let root = clone.root();
+        assert_eq!(roots_computed(), before + 1);
+        assert_eq!(body.0.root.get(), Some(&root), "the clone's root is ours");
+        assert_eq!(body.root(), root);
+        assert_eq!(roots_computed(), before + 1, "asked again: no new fold");
+
+        assert!(separate.0.root.get().is_none(), "a separate body has its own memo");
+        assert_eq!(separate.root(), root);
+        assert_eq!(roots_computed(), before + 2);
+    }
+
+    #[test]
+    fn body_equality_is_by_value() {
+        let a = BlockBody::from(sample_txs(3));
+        assert_eq!(a, a.clone());
+        let b = BlockBody::from(sample_txs(3));
+        a.root();
+        assert_eq!(a, b, "separately built, one memo warm and one cold");
+        assert_ne!(a, BlockBody::from(sample_txs(2)), "a transaction is missing");
+        let mut swapped = sample_txs(3);
+        swapped.swap(0, 2);
+        assert_ne!(a, BlockBody::from(swapped), "order differs");
+        assert_eq!(&a[..], &sample_txs(3)[..], "reads as the slice it holds");
+        assert_eq!((&a).into_iter().count(), 3);
+    }
+
+    #[test]
+    fn bodies_cross_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<BlockBody>();
+    }
+
+    /// Blocks and batches print their bodies in post-mortem dumps: the
+    /// output is byte-equal to the `Vec` the body holds, memo or not.
+    #[test]
+    fn body_debug_output_is_the_vec_one() {
+        let txs = sample_txs(2);
+        let body = BlockBody::from(txs.clone());
+        assert_eq!(format!("{body:?}"), format!("{txs:?}"));
+        body.root();
+        assert_eq!(format!("{body:#?}"), format!("{txs:#?}"));
+        assert_eq!(format!("{:?}", BlockBody::from(vec![])), "[]");
     }
 
     #[test]

@@ -18,6 +18,6 @@ pub mod encode;
 pub mod ids;
 pub mod tx;
 
-pub use block::{Block, BlockHeader};
+pub use block::{Block, BlockBody, BlockHeader};
 pub use ids::{ChannelId, ClientId, EnterpriseId, Height, NodeId, Round, ShardId, TxId, View};
 pub use tx::{Executable, Key, KeyRefs, Op, Transaction, TxScope, Value, VmCall};
