@@ -1,11 +1,13 @@
 //! E12 — simulator core throughput.
 //!
 //! Measures the event loop itself rather than any protocol property:
-//! consensus event streams (PBFT / HotStuff / Raft at n ∈ {4, 16, 64}),
+//! consensus event streams (all six protocols at n ∈ {4, 16, 32, 64};
+//! PBFT at 32 is the benchmark's `order-pbft32-ox` cluster),
 //! pure broadcast fan-out, and the timer-heavy chaos workload from the
 //! nemesis suite. These are the paths the PR 2 scheduler overhaul
 //! (timer wheel + zero-copy broadcast) optimizes; `sweep --baseline`
-//! snapshots the same workloads into `BENCH_PR2.json` for regression.
+//! snapshots the PBFT/HotStuff/Raft rows at n ∈ {4, 16, 64} and the
+//! other workloads into `BENCH_PR2.json` for regression.
 //! `e12_payload` measures what the protocols carry through that loop:
 //! `Batch` clone/digest/wire-size and whole PBFT/Raft runs over batches.
 //! `e12_block_path` measures what a replica does with a decided batch:
@@ -50,8 +52,8 @@ fn bench_consensus(c: &mut Criterion) {
     let (requests, samples) = if smoke() { (5, 1) } else { (30, 10) };
     let mut g = c.benchmark_group("e12_consensus");
     g.sample_size(samples);
-    for proto in [Proto::Pbft, Proto::HotStuff, Proto::Raft] {
-        for n in [4usize, 16, 64] {
+    for proto in Proto::ALL {
+        for n in [4usize, 16, 32, 64] {
             let stats = consensus_run(proto, n, 0xBA5E, requests);
             assert_eq!(stats.decided, requests, "{} n={n} must decide", proto.name());
             println!(

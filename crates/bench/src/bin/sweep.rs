@@ -11,7 +11,8 @@
 //! `sweep --metrics` runs one healthy consensus round per protocol with a
 //! [`pbc_trace`] sink installed and prints the per-protocol metrics
 //! registry: commit counts, view changes, and commit/round latency
-//! histograms.
+//! histograms. It fails unless every protocol decides every request at
+//! n = 16 and messages per commit order Raft < HotStuff < PBFT (§2.3.3).
 //!
 //! `sweep --storm-overhead` times the chaos-storm workload with the
 //! trace sink absent and installed, printing both rates — the
@@ -208,7 +209,8 @@ fn metrics() {
     const SEED: u64 = 0xBA5E;
     const REQUESTS: u64 = 30;
     const N: usize = 16;
-    for proto in [Proto::Pbft, Proto::HotStuff, Proto::Raft] {
+    let mut msgs_per_commit = Vec::new();
+    for proto in Proto::ALL {
         // Fresh sink per protocol so delivery counts (and therefore
         // msgs-per-commit) aren't polluted by the previous run.
         pbc_trace::install(pbc_trace::TraceSink::new(64 * 1024));
@@ -223,6 +225,7 @@ fn metrics() {
             sink.total(),
             sink.records().len()
         );
+        assert_eq!(stats.decided, REQUESTS, "{} n={N} must decide every request", proto.name());
         for label in reg.protocols() {
             let pm = reg.proto(label).expect("label from registry");
             println!(
@@ -238,8 +241,20 @@ fn metrics() {
             println!("    commit latency {}", pm.commit_latency.summary());
             println!("    round  latency {}", pm.round_latency.summary());
         }
+        msgs_per_commit.push((proto, reg.msgs_per_commit(proto.name())));
         println!();
     }
+    // §2.3.3: all-to-all PBFT is quadratic in n, HotStuff's votes to the
+    // leader linear, Raft's leader-to-followers replication linear with
+    // one phase — so at n = 16 the three must order this way.
+    let of =
+        |p: Proto| msgs_per_commit.iter().find(|(q, _)| *q == p).expect("every protocol ran").1;
+    let (raft, hotstuff, pbft) = (of(Proto::Raft), of(Proto::HotStuff), of(Proto::Pbft));
+    println!("msgs/commit at n={N}: raft {raft:.1} < hotstuff {hotstuff:.1} < pbft {pbft:.1}");
+    assert!(
+        raft < hotstuff && hotstuff < pbft,
+        "message complexity shape broken at n={N}: raft {raft:.1}, hotstuff {hotstuff:.1}, pbft {pbft:.1}"
+    );
     shard_decide_latency();
 }
 

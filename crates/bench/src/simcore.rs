@@ -3,8 +3,8 @@
 //!
 //! Four workloads exercise the hot paths of the event loop:
 //!
-//! * **consensus** — PBFT / HotStuff / Raft deciding a fixed request
-//!   load at n ∈ {4, 16, 64}: the mixed Deliver/Timer stream every
+//! * **consensus** — any of six protocols ([`Proto`]) deciding a fixed
+//!   request load at a given n: the mixed Deliver/Timer stream every
 //!   experiment in the repo generates;
 //! * **broadcast flood** — a single node broadcasting on a tick timer:
 //!   isolates the fan-out path (one send expanding to n deliveries);
@@ -40,9 +40,13 @@
 //! println!("commit latency {}", pbft.commit_latency.summary());
 //! ```
 
-use pbc_consensus::hotstuff::{HotStuffConfig, HotStuffReplica, HsMsg};
-use pbc_consensus::pbft::{PbftConfig, PbftMsg, PbftReplica};
+use pbc_consensus::hotstuff::{HotStuffConfig, HotStuffReplica};
+use pbc_consensus::minbft::{MinBftConfig, MinBftReplica};
+use pbc_consensus::paxos::{PaxosConfig, PaxosNode};
+use pbc_consensus::pbft::{PbftConfig, PbftReplica};
 use pbc_consensus::raft::{RaftConfig, RaftMsg, RaftNode, Role};
+use pbc_consensus::tendermint::{TendermintConfig, TendermintNode};
+use pbc_consensus::OrderingActor;
 use pbc_sim::{
     Actor, Context, FaultModel, LinkFault, Message, NetStats, Network, NetworkConfig, NodeIdx,
     ParNetwork, SimNet,
@@ -57,15 +61,28 @@ pub enum Proto {
     HotStuff,
     /// Raft.
     Raft,
+    /// Tendermint with equal voting powers.
+    Tendermint,
+    /// MinBFT (`n = 2f + 1` with trusted counters).
+    MinBft,
+    /// Multi-decree Paxos.
+    Paxos,
 }
 
 impl Proto {
+    /// Every protocol, in bench-row order.
+    pub const ALL: [Proto; 6] =
+        [Proto::Pbft, Proto::HotStuff, Proto::Raft, Proto::Tendermint, Proto::MinBft, Proto::Paxos];
+
     /// Display name used in bench labels and the JSON snapshot.
     pub fn name(&self) -> &'static str {
         match self {
             Proto::Pbft => "pbft",
             Proto::HotStuff => "hotstuff",
             Proto::Raft => "raft",
+            Proto::Tendermint => "tendermint",
+            Proto::MinBft => "minbft",
+            Proto::Paxos => "paxos",
         }
     }
 }
@@ -91,66 +108,64 @@ const CONSENSUS_EVENT_CAP: u64 = 20_000_000;
 /// Drives `proto` at cluster size `n` until `requests` slots are
 /// decided everywhere (or the event cap trips), returning the work done.
 pub fn consensus_run(proto: Proto, n: usize, seed: u64, requests: u64) -> RunStats {
+    let ids = 0..n;
     match proto {
         Proto::Pbft => {
             let cfg = PbftConfig::new(n);
-            let actors = (0..n).map(|_| PbftReplica::<u64>::new(cfg.clone())).collect();
-            let mut net = Network::new(actors, NetworkConfig { seed, ..Default::default() });
-            net.start();
-            for i in 0..requests {
-                for node in 0..n {
-                    net.inject(0, node, PbftMsg::Request(1000 + i), 1 + i);
-                }
-            }
-            drive(&mut net, requests, |net| {
-                (0..net.len()).map(|i| net.actor(i).log.len() as u64).min().unwrap_or(0)
-            })
+            decide(ids.map(|_| PbftReplica::<u64>::new(cfg.clone())).collect(), seed, requests, 1)
         }
         Proto::HotStuff => {
             let cfg = HotStuffConfig::new(n);
-            let actors = (0..n).map(|_| HotStuffReplica::<u64>::new(cfg.clone())).collect();
-            let mut net = Network::new(actors, NetworkConfig { seed, ..Default::default() });
-            net.start();
-            for i in 0..requests {
-                for node in 0..n {
-                    net.inject(0, node, HsMsg::Request(1000 + i), 1 + i);
-                }
-            }
-            drive(&mut net, requests, |net| {
-                (0..net.len()).map(|i| net.actor(i).log.len() as u64).min().unwrap_or(0)
-            })
+            let actors = ids.map(|_| HotStuffReplica::<u64>::new(cfg.clone())).collect();
+            decide(actors, seed, requests, 1)
         }
         Proto::Raft => {
             let cfg = RaftConfig::new(n);
-            let actors = (0..n).map(|i| RaftNode::<u64>::new(cfg.clone(), i)).collect();
-            let mut net = Network::new(actors, NetworkConfig { seed, ..Default::default() });
-            net.start();
-            for i in 0..requests {
-                // Stagger past the first election so requests find a leader.
-                for node in 0..n {
-                    net.inject(0, node, RaftMsg::Request(1000 + i), 1 + i * 97);
-                }
-            }
-            drive(&mut net, requests, |net| {
-                (0..net.len()).map(|i| net.actor(i).log.len() as u64).min().unwrap_or(0)
-            })
+            // Stagger past the first election so requests find a leader.
+            decide(ids.map(|i| RaftNode::<u64>::new(cfg.clone(), i)).collect(), seed, requests, 97)
+        }
+        Proto::Tendermint => {
+            let cfg = TendermintConfig::equal(n);
+            let actors = ids.map(|_| TendermintNode::<u64>::new(cfg.clone())).collect();
+            decide(actors, seed, requests, 1)
+        }
+        Proto::MinBft => {
+            let cfg = MinBftConfig::new(n);
+            let actors = ids.map(|i| MinBftReplica::<u64>::new(cfg.clone(), i)).collect();
+            decide(actors, seed, requests, 1)
+        }
+        Proto::Paxos => {
+            let cfg = PaxosConfig::new(n);
+            decide(ids.map(|i| PaxosNode::<u64>::new(cfg.clone(), i)).collect(), seed, requests, 1)
         }
     }
 }
 
-fn drive<A: Actor>(
-    net: &mut Network<A>,
-    target: u64,
-    progress: impl Fn(&Network<A>) -> u64,
-) -> RunStats {
+/// Sends request `i` (payload `1000 + i`) to every node at tick
+/// `1 + i * spacing`, then steps until every node decided `requests`
+/// slots or the event cap trips.
+fn decide<A>(actors: Vec<A>, seed: u64, requests: u64, spacing: u64) -> RunStats
+where
+    A: OrderingActor<Payload = u64>,
+{
+    let mut net = Network::new(actors, NetworkConfig { seed, ..Default::default() });
+    net.start();
+    for i in 0..requests {
+        for node in 0..net.len() {
+            net.inject(0, node, A::request_msg(1000 + i), 1 + i * spacing);
+        }
+    }
+    let progress = |net: &Network<A>| {
+        (0..net.len()).map(|i| net.actor(i).log().len() as u64).min().unwrap_or(0)
+    };
     let mut events = 0u64;
-    while events < CONSENSUS_EVENT_CAP && progress(net) < target {
+    while events < CONSENSUS_EVENT_CAP && progress(&net) < requests {
         if !net.step() {
             break;
         }
         events += 1;
     }
-    RunStats { events, decided: progress(net), sim_now: net.now(), net: net.stats().clone() }
+    RunStats { events, decided: progress(&net), sim_now: net.now(), net: net.stats().clone() }
 }
 
 /// A node that broadcasts a token every tick, `rounds` times; everyone

@@ -1,6 +1,8 @@
-//! Shared consensus vocabulary: payloads, decided logs, quorum math.
+//! Shared consensus vocabulary: payloads, decided logs, quorum math and
+//! the voter sets counted against it.
 
-use pbc_sim::SimTime;
+use pbc_sim::{NodeIdx, SimTime};
+use pbc_types::encode::{Decoder, Encoder};
 
 /// What a consensus protocol agrees on.
 ///
@@ -239,6 +241,107 @@ pub mod quorum {
     }
 }
 
+/// The distinct replicas that voted for one thing — the set whose
+/// [`Voters::len`] every protocol checks against a [`quorum`] size.
+///
+/// A bitset over [`NodeIdx`] with a cached count: a vote is one word
+/// `or`, a quorum check reads one field, and a replica id is never
+/// hashed. Tallies keyed by what was voted for are [`Tally`] maps, so a
+/// Byzantine sender that spreads votes over many digests still costs
+/// O(1) per vote.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Voters {
+    words: Vec<u64>,
+    len: usize,
+}
+
+/// Voter sets keyed by what was voted for (`(view, digest)`, a phase, a
+/// round). Fx-hashed: deterministic and cheap for integer keys. Fx does
+/// not resist keys crafted to collide, so a Byzantine sender choosing
+/// digests can make lookups in one tally linear in its size.
+pub type Tally<K> = fxhash::FxHashMap<K, Voters>;
+
+impl Voters {
+    /// Adds `voter`; true if it had not voted yet.
+    #[inline]
+    pub fn insert(&mut self, voter: NodeIdx) -> bool {
+        let (word, bit) = (voter / 64, 1u64 << (voter % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        self.len += fresh as usize;
+        fresh
+    }
+
+    /// Number of distinct voters.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if nobody voted.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// True if `voter` voted.
+    pub fn contains(&self, voter: NodeIdx) -> bool {
+        self.words.get(voter / 64).is_some_and(|w| w & (1u64 << (voter % 64)) != 0)
+    }
+
+    /// The voters in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = NodeIdx> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    i * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// Forgets every vote, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    /// Writes the voter count, then each voter ascending.
+    pub fn encode(&self, e: &mut Encoder) {
+        e.u64(self.len as u64);
+        for v in self.iter() {
+            e.u64(v as u64);
+        }
+    }
+
+    /// Reads what [`Voters::encode`] wrote for a cluster of `n`. `None` if
+    /// a voter is not a replica (`>= n`) or is listed twice: the encoder
+    /// writes neither, and a record from disk is not trusted to size the
+    /// set.
+    pub fn decode(d: &mut Decoder<'_>, n: usize) -> Option<Voters> {
+        let count = d.u64()?;
+        let mut voters = Voters::default();
+        for _ in 0..count {
+            let v = d.u64()?;
+            if v >= n as u64 || !voters.insert(v as NodeIdx) {
+                return None;
+            }
+        }
+        Some(voters)
+    }
+}
+
+impl std::fmt::Debug for Voters {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// The record-codec checks every protocol's `Durable` impl must pass.
 #[cfg(test)]
 pub(crate) mod testing {
@@ -333,6 +436,45 @@ mod tests {
         assert_eq!(majority(5), 3);
         assert_eq!(a2m_f(3), 1);
         assert_eq!(a2m_quorum(3), 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `Voters` behaves as a `BTreeSet<NodeIdx>`: the same `insert`
+        /// answers, `len`, `contains` and ascending `iter`, with ids on
+        /// both sides of every word boundary up to `n - 1`.
+        #[test]
+        fn voters_match_a_set_model(
+            n in 1usize..200,
+            picks in proptest::collection::vec((0usize..6, proptest::prelude::any::<usize>()), 0..64),
+        ) {
+            let mut voters = Voters::default();
+            let mut model = std::collections::BTreeSet::new();
+            for (kind, raw) in picks {
+                let id = match kind {
+                    0 => 0,
+                    1 => 63,
+                    2 => 64,
+                    3 => 127,
+                    4 => 128,
+                    _ => raw % n,
+                }
+                .min(n - 1);
+                proptest::prop_assert_eq!(voters.insert(id), model.insert(id));
+                proptest::prop_assert_eq!(voters.len(), model.len());
+            }
+            for id in 0..n + 64 {
+                proptest::prop_assert_eq!(voters.contains(id), model.contains(&id), "{}", id);
+            }
+            proptest::prop_assert!(voters.iter().eq(model.iter().copied()));
+            proptest::prop_assert_eq!(voters.is_empty(), model.is_empty());
+            let mut e = Encoder::new();
+            voters.encode(&mut e);
+            let bytes = e.finish();
+            let back = Voters::decode(&mut Decoder::new(&bytes), n).expect("own encoding decodes");
+            proptest::prop_assert_eq!(back, voters);
+        }
     }
 
     #[test]

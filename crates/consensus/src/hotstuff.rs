@@ -13,7 +13,7 @@
 //! QC and only vote for proposals that extend their locked block or carry
 //! a newer justify QC.
 
-use crate::common::{hooks, quorum, DecidedLog, Payload};
+use crate::common::{hooks, quorum, DecidedLog, Payload, Tally, Voters};
 use pbc_sim::{Actor, Context, Durable, Message, NodeIdx, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -140,9 +140,9 @@ pub struct HotStuffReplica<P> {
     /// Locked QC (set at commit phase).
     locked_qc: Qc,
     /// Leader vote tallies.
-    votes: HashMap<(Phase, u64, u64), HashSet<NodeIdx>>,
+    votes: Tally<(Phase, u64, u64)>,
     /// Leader NewView tallies: view → (senders, highest justify).
-    new_views: HashMap<u64, (HashSet<NodeIdx>, Qc)>,
+    new_views: fxhash::FxHashMap<u64, (Voters, Qc)>,
     pending: BTreeMap<u64, P>,
     delivered_digests: HashSet<u64>,
     proposed_in_view: HashSet<u64>,
@@ -165,8 +165,8 @@ impl<P: Payload> HotStuffReplica<P> {
             blocks,
             prepare_qc: Qc { view: 0, digest: GENESIS },
             locked_qc: Qc { view: 0, digest: GENESIS },
-            votes: HashMap::new(),
-            new_views: HashMap::new(),
+            votes: Tally::default(),
+            new_views: Default::default(),
             pending: BTreeMap::new(),
             delivered_digests: HashSet::new(),
             proposed_in_view: HashSet::new(),
@@ -332,7 +332,7 @@ impl<P: Payload> Actor for HotStuffReplica<P> {
                 let entry = self
                     .new_views
                     .entry(*view)
-                    .or_insert((HashSet::new(), Qc { view: 0, digest: GENESIS }));
+                    .or_insert((Voters::default(), Qc { view: 0, digest: GENESIS }));
                 entry.0.insert(from);
                 if justify.view > entry.1.view {
                     entry.1 = *justify;

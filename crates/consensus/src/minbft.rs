@@ -12,7 +12,7 @@
 //! E10's subject).
 
 use crate::a2m::{A2mVerifier, Attestation, Usig};
-use crate::common::{hooks, DecidedLog, Payload};
+use crate::common::{hooks, DecidedLog, Payload, Tally, Voters};
 use pbc_sim::{Actor, Context, Durable, Message, NodeIdx, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -134,13 +134,13 @@ fn prepare_digest(view: u64, seq: u64, payload_digest: u64) -> u64 {
 struct SlotState<P> {
     payload: Option<P>,
     digest: u64,
-    commits: HashSet<NodeIdx>,
+    commits: Voters,
     decided: bool,
 }
 
 impl<P> Default for SlotState<P> {
     fn default() -> Self {
-        SlotState { payload: None, digest: 0, commits: HashSet::new(), decided: false }
+        SlotState { payload: None, digest: 0, commits: Voters::default(), decided: false }
     }
 }
 
@@ -159,7 +159,7 @@ pub struct MinBftReplica<P> {
     vc_votes: HashMap<u64, HashMap<NodeIdx, Vec<(u64, P)>>>,
     /// Catch-up vouchers: `(seq, digest)` → senders who attested it as
     /// decided. Volatile bookkeeping; rebuilt from scratch after a crash.
-    catchup_votes: HashMap<(u64, u64), HashSet<NodeIdx>>,
+    catchup_votes: Tally<(u64, u64)>,
     /// Payloads carried by catch-up vouchers, keyed by digest.
     catchup_payloads: HashMap<u64, P>,
     /// The in-order decided log.
@@ -183,7 +183,7 @@ impl<P: Payload> MinBftReplica<P> {
             assigned: HashMap::new(),
             next_assign: 0,
             vc_votes: HashMap::new(),
-            catchup_votes: HashMap::new(),
+            catchup_votes: Tally::default(),
             catchup_payloads: HashMap::new(),
             log: DecidedLog::default(),
             view_changes: 0,
@@ -573,12 +573,7 @@ impl<P: crate::common::PersistPayload> Durable for MinBftReplica<P> {
                 }
             }
             e.u64(slot.digest);
-            let mut voters: Vec<NodeIdx> = slot.commits.iter().copied().collect();
-            voters.sort_unstable();
-            e.u64(voters.len() as u64);
-            for v in voters {
-                e.u64(v as u64);
-            }
+            slot.commits.encode(&mut e);
             e.tag(slot.decided as u8);
         }
         let mut digests: Vec<u64> = stable.delivered_digests.iter().copied().collect();
@@ -617,11 +612,7 @@ impl<P: crate::common::PersistPayload> Durable for MinBftReplica<P> {
                 _ => return None,
             };
             let digest = d.u64()?;
-            let n_voters = d.u64()? as usize;
-            let mut commits = HashSet::with_capacity(n_voters.min(1024));
-            for _ in 0..n_voters {
-                commits.insert(d.u64()? as NodeIdx);
-            }
+            let commits = Voters::decode(&mut d, crashed.cfg.n)?;
             let decided = match d.tag()? {
                 0 => false,
                 1 => true,
@@ -849,6 +840,104 @@ mod tests {
             assert!(!stable.decided.is_empty(), "node {i} decided something");
             let back = crate::common::testing::assert_snapshot_codec(net.actor(i));
             assert_eq!(back.usig_counter, stable.usig_counter, "USIG counter survives");
+        }
+    }
+
+    const PINNED_N: usize = 70;
+
+    /// Replica 5 of 70 brought to a fixed state by hand-delivered
+    /// messages, no scheduling involved: commit voters on both sides of a
+    /// 64-bit word boundary, a decided slot, a slot voted on before its
+    /// prepare — then its record.
+    fn pinned_record() -> (MinBftReplica<u64>, Vec<u8>) {
+        let n = PINNED_N;
+        let cfg = MinBftConfig::new(n);
+        let mut r = MinBftReplica::new(cfg.clone(), 5);
+        let mut primary = Usig::new(cfg.a2m_seed, 0);
+        let deliver = |r: &mut MinBftReplica<u64>, from: NodeIdx, msg: MinBftMsg<u64>| {
+            r.on_message(from, &msg, &mut Context::standalone(1, 5, n));
+        };
+        let d = |p: u64| Payload::digest_u64(&p);
+        deliver(&mut r, 0, MinBftMsg::Request(7));
+        for (seq, payload) in [(0, 7u64), (1, 8)] {
+            let att = primary.attest(prepare_digest(0, seq, d(payload)));
+            deliver(&mut r, 0, MinBftMsg::Prepare { view: 0, seq, payload, att });
+        }
+        for v in [69, 0, 64, 63] {
+            deliver(&mut r, v, MinBftMsg::Commit { view: 0, seq: 0, digest: d(7) });
+        }
+        for v in 30..65 {
+            deliver(&mut r, v, MinBftMsg::Commit { view: 0, seq: 1, digest: d(8) });
+        }
+        deliver(&mut r, 66, MinBftMsg::Commit { view: 0, seq: 2, digest: d(9) });
+        let record = r.encode_since(&mut ());
+        (r, record)
+    }
+
+    /// The record format is pinned byte for byte: how voters are held in
+    /// memory must not change what reaches the disk.
+    #[test]
+    fn pinned_record_is_byte_identical() {
+        let record = pinned_record().1;
+        assert_eq!(
+            pbc_crypto::sha256(&record).to_hex(),
+            "c4cc2a73335df7c0d5013a77a5d9ce57173fe8acbb1dfe5fa7e44d3be34ee1e3",
+            "{} bytes",
+            record.len()
+        );
+    }
+
+    /// A record of one slot, without a payload, committed by `voters`.
+    fn record_with_commit_voters(voters: &[u64]) -> Vec<u8> {
+        let mut e = pbc_types::encode::Encoder::new();
+        e.u64(0).u64(0).u64(0); // view, USIG counter, no used counters
+        e.u64(1).u64(0).tag(0).u64(42).u64(voters.len() as u64); // seq 0, digest 42
+        for v in voters {
+            e.u64(*v);
+        }
+        e.tag(0).u64(0).u64(0); // undecided; no digests, no decisions
+        e.finish()
+    }
+
+    #[test]
+    fn a_record_naming_a_voter_outside_the_cluster_or_twice_is_refused() {
+        let actor = MinBftReplica::<u64>::new(MinBftConfig::new(3), 0);
+        let mut stable = MinBftReplica::blank_stable(&actor);
+        let valid = record_with_commit_voters(&[0, 2]);
+        MinBftReplica::apply(&actor, &mut stable, &valid).expect("voters 0 and 2 of 3 apply");
+        let snapshot = |stable: MinBftStable<u64>| {
+            crate::common::testing::snapshot(&MinBftReplica::restore(&actor, stable))
+        };
+        let before = snapshot(stable.clone());
+        for voters in [&[1, 3][..], &[u64::MAX], &[2, 2]] {
+            let record = record_with_commit_voters(voters);
+            assert!(MinBftReplica::apply(&actor, &mut stable, &record).is_none(), "{voters:?}");
+        }
+        assert_eq!(snapshot(stable), before);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Damage anywhere in a record never panics `apply`, and a state
+        /// it accepts names only replicas as voters.
+        #[test]
+        fn a_damaged_record_never_admits_a_stranger(
+            flips in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), 1u8..=255), 1..4),
+        ) {
+            let (actor, mut record) = pinned_record();
+            for (at, mask) in flips {
+                let at = at % record.len();
+                record[at] ^= mask;
+            }
+            let mut stable = MinBftReplica::blank_stable(&actor);
+            if MinBftReplica::apply(&actor, &mut stable, &record).is_some() {
+                for slot in stable.slots.values() {
+                    let commits = &slot.commits;
+                    proptest::prop_assert!(commits.iter().all(|v| v < PINNED_N), "{commits:?}");
+                }
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 //! same value. Failover: a node holding undecided requests past its
 //! timeout claims leadership with a higher ballot.
 
-use crate::common::{hooks, quorum, DecidedLog, Payload};
+use crate::common::{hooks, quorum, DecidedLog, Payload, Tally};
 use pbc_sim::{Actor, Context, Durable, Message, NodeIdx, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -99,7 +99,7 @@ pub struct PaxosNode<P> {
     /// digest → slot proposed (this leadership).
     proposed: HashMap<u64, u64>,
     // --- learner ---
-    learn_votes: HashMap<(u64, u64), HashSet<NodeIdx>>,
+    learn_votes: Tally<(u64, u64)>,
     // --- requests ---
     pending: BTreeMap<u64, P>,
     delivered_digests: HashSet<u64>,
@@ -122,7 +122,7 @@ impl<P: Payload> PaxosNode<P> {
             promises: HashMap::new(),
             next_slot: 0,
             proposed: HashMap::new(),
-            learn_votes: HashMap::new(),
+            learn_votes: Tally::default(),
             pending: BTreeMap::new(),
             delivered_digests: HashSet::new(),
             log: DecidedLog::default(),

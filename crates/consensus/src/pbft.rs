@@ -18,7 +18,7 @@
 //! protocol: the proposer of height `h` is `(h + view) mod n` and heights
 //! are decided one at a time.
 
-use crate::common::{hooks, quorum, DecidedLog, Payload};
+use crate::common::{hooks, quorum, DecidedLog, Payload, Tally, Voters};
 use pbc_sim::{Actor, Context, Durable, Message, NodeIdx, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -198,9 +198,9 @@ struct Slot<P> {
     /// The accepted proposal for this slot: (view, digest, payload).
     accepted: Option<(u64, u64, P)>,
     /// Prepare votes keyed by (view, digest).
-    prepares: HashMap<(u64, u64), HashSet<NodeIdx>>,
+    prepares: Tally<(u64, u64)>,
     /// Commit votes keyed by (view, digest).
-    commits: HashMap<(u64, u64), HashSet<NodeIdx>>,
+    commits: Tally<(u64, u64)>,
     sent_commit: bool,
     decided: bool,
 }
@@ -209,8 +209,8 @@ impl<P> Default for Slot<P> {
     fn default() -> Self {
         Slot {
             accepted: None,
-            prepares: HashMap::new(),
-            commits: HashMap::new(),
+            prepares: Tally::default(),
+            commits: Tally::default(),
             sent_commit: false,
             decided: false,
         }
@@ -234,7 +234,7 @@ pub struct PbftReplica<P> {
     /// View-change votes: new_view → sender → prepared set.
     vc_votes: HashMap<u64, HashMap<NodeIdx, Vec<(u64, P)>>>,
     /// State-transfer tallies: (seq, digest) → asserting peers.
-    decided_certs: HashMap<(u64, u64), HashSet<NodeIdx>>,
+    decided_certs: Tally<(u64, u64)>,
     /// The in-order decided log.
     pub log: DecidedLog<P>,
     /// Count of view changes this replica has entered (observability).
@@ -253,7 +253,7 @@ impl<P: Payload> PbftReplica<P> {
             assigned: HashMap::new(),
             next_assign: 0,
             vc_votes: HashMap::new(),
-            decided_certs: HashMap::new(),
+            decided_certs: Tally::default(),
             log: DecidedLog::default(),
             view_changes: 0,
         }
@@ -373,8 +373,7 @@ impl<P: Payload> PbftReplica<P> {
             return;
         };
         let (view, digest) = (*view, *digest);
-        let prepared = slot.prepares.get(&(view, digest)).is_some_and(|s| s.len() >= q);
-        if prepared && !slot.sent_commit {
+        if !slot.sent_commit && slot.prepares.get(&(view, digest)).is_some_and(|s| s.len() >= q) {
             slot.sent_commit = true;
             hooks::phase("pbft", ctx.self_id, ctx.now, view, "prepared");
             ctx.broadcast(PbftMsg::Commit { view, seq, digest });
@@ -616,36 +615,26 @@ pub struct PbftStable<P> {
 }
 
 /// Encodes a `(view, digest) → voters` vote map with deterministic
-/// ordering (keys sorted, then voters sorted).
-fn encode_votes(e: &mut pbc_types::encode::Encoder, votes: &HashMap<(u64, u64), HashSet<NodeIdx>>) {
+/// ordering (keys sorted, voters ascending).
+fn encode_votes(e: &mut pbc_types::encode::Encoder, votes: &Tally<(u64, u64)>) {
     let mut keys: Vec<&(u64, u64)> = votes.keys().collect();
     keys.sort_unstable();
     e.u64(keys.len() as u64);
     for key in keys {
         e.u64(key.0).u64(key.1);
-        let mut voters: Vec<NodeIdx> = votes[key].iter().copied().collect();
-        voters.sort_unstable();
-        e.u64(voters.len() as u64);
-        for v in voters {
-            e.u64(v as u64);
-        }
+        votes[key].encode(e);
     }
 }
 
-fn decode_votes(
-    d: &mut pbc_types::encode::Decoder<'_>,
-) -> Option<HashMap<(u64, u64), HashSet<NodeIdx>>> {
-    let n = d.u64()? as usize;
-    let mut votes = HashMap::with_capacity(n.min(1024));
-    for _ in 0..n {
+/// Reads what [`encode_votes`] wrote for a cluster of `n`; `None` on a
+/// voter outside the cluster or listed twice.
+fn decode_votes(d: &mut pbc_types::encode::Decoder<'_>, n: usize) -> Option<Tally<(u64, u64)>> {
+    let keys = d.u64()? as usize;
+    let mut votes = Tally::default();
+    for _ in 0..keys {
         let view = d.u64()?;
         let digest = d.u64()?;
-        let m = d.u64()? as usize;
-        let mut voters = HashSet::with_capacity(m.min(1024));
-        for _ in 0..m {
-            voters.insert(d.u64()? as NodeIdx);
-        }
-        votes.insert((view, digest), voters);
+        votes.insert((view, digest), Voters::decode(d, n)?);
     }
     Some(votes)
 }
@@ -667,8 +656,8 @@ impl SlotStamp {
     fn of<P>(slot: &Slot<P>) -> Self {
         SlotStamp {
             accepted: slot.accepted.as_ref().map(|(view, digest, _)| (*view, *digest)),
-            prepares: slot.prepares.values().map(HashSet::len).sum(),
-            commits: slot.commits.values().map(HashSet::len).sum(),
+            prepares: slot.prepares.values().map(Voters::len).sum(),
+            commits: slot.commits.values().map(Voters::len).sum(),
             sent_commit: slot.sent_commit,
             decided: slot.decided,
         }
@@ -797,7 +786,7 @@ impl<P: crate::common::PersistPayload> Durable for PbftReplica<P> {
         e.finish()
     }
 
-    fn apply(_crashed: &Self, stable: &mut PbftStable<P>, record: &[u8]) -> Option<()> {
+    fn apply(crashed: &Self, stable: &mut PbftStable<P>, record: &[u8]) -> Option<()> {
         // Decode and check everything first; `stable` changes only once
         // the whole record is known to follow it.
         let mut d = pbc_types::encode::Decoder::new(record);
@@ -817,8 +806,8 @@ impl<P: crate::common::PersistPayload> Durable for PbftReplica<P> {
                 2 => Some(stable.slots.get(&seq)?.accepted.clone()?),
                 _ => return None,
             };
-            let prepares = decode_votes(&mut d)?;
-            let commits = decode_votes(&mut d)?;
+            let prepares = decode_votes(&mut d, crashed.cfg.n)?;
+            let commits = decode_votes(&mut d, crashed.cfg.n)?;
             let sent_commit = match d.tag()? {
                 0 => false,
                 1 => true,
@@ -1301,6 +1290,116 @@ mod tests {
                 "wave {wave}: {} bytes for four 1 KiB payloads",
                 record.len()
             );
+        }
+    }
+
+    /// Hands `msg` from `from` to replica 5 of `n`, outside any simulator.
+    fn deliver(r: &mut PbftReplica<u64>, n: usize, from: NodeIdx, msg: PbftMsg<u64>, now: SimTime) {
+        r.on_message(from, &msg, &mut Context::standalone(now, 5, n));
+    }
+
+    const PINNED_N: usize = 70;
+
+    /// Replica 5 of 70 brought to a fixed state by hand-delivered
+    /// messages, no scheduling involved: voters on both sides of a
+    /// 64-bit word boundary, two `(view, digest)` keys in one slot, a
+    /// slot voted on before its proposal, a decision buffered behind an
+    /// undecided slot — then the snapshot record and one extension.
+    fn pinned_records() -> (PbftReplica<u64>, [Vec<u8>; 2]) {
+        let n = PINNED_N;
+        let mut r = PbftReplica::new(PbftConfig::new(n));
+        let d = |p: u64| p.digest_u64();
+        deliver(&mut r, n, 0, PbftMsg::Request(7), 1);
+        deliver(&mut r, n, 0, PbftMsg::Request(8), 2);
+        deliver(&mut r, n, 0, PbftMsg::PrePrepare { view: 0, seq: 0, payload: 7 }, 3);
+        for v in [69, 0, 64, 5, 63] {
+            deliver(&mut r, n, v, PbftMsg::Prepare { view: 0, seq: 0, digest: d(7) }, 4);
+        }
+        deliver(&mut r, n, 1, PbftMsg::Prepare { view: 0, seq: 0, digest: 999 }, 5);
+        for v in [64, 1, 0] {
+            deliver(&mut r, n, v, PbftMsg::Commit { view: 0, seq: 0, digest: d(7) }, 6);
+        }
+        deliver(&mut r, n, 66, PbftMsg::Prepare { view: 0, seq: 2, digest: d(9) }, 7);
+        let mut mark = PbftMark::default();
+        let snapshot = r.encode_since(&mut mark);
+        deliver(&mut r, n, 0, PbftMsg::PrePrepare { view: 0, seq: 1, payload: 8 }, 8);
+        for v in 40..64 {
+            deliver(&mut r, n, v, PbftMsg::Decided { seq: 1, payload: 8 }, 9);
+        }
+        deliver(&mut r, n, 65, PbftMsg::Commit { view: 0, seq: 0, digest: d(7) }, 10);
+        let extension = r.encode_since(&mut mark);
+        (r, [snapshot, extension])
+    }
+
+    /// The record format is pinned byte for byte: how voters are held in
+    /// memory must not change what reaches the disk.
+    #[test]
+    fn pinned_records_are_byte_identical() {
+        let records = pinned_records().1.concat();
+        assert_eq!(
+            pbc_crypto::sha256(&records).to_hex(),
+            "c73b2ccce78d65348481dfee8ab3b21e5199c74e680d879f1798125a1fd25d56",
+            "{} bytes",
+            records.len()
+        );
+    }
+
+    /// A record of one empty slot whose prepares for `(0, 42)` are `voters`.
+    fn record_with_prepare_voters(voters: &[u64]) -> Vec<u8> {
+        let mut e = pbc_types::encode::Encoder::new();
+        e.u64(0).u64(1).u64(0).tag(0); // view 0; one slot: seq 0, no proposal
+        e.u64(1).u64(0).u64(42).u64(voters.len() as u64);
+        for v in voters {
+            e.u64(*v);
+        }
+        e.u64(0).tag(0).tag(0); // no commits, not sent, not decided
+        e.tag(0).u64(0).u64(0); // no decisions before, none now
+        e.finish()
+    }
+
+    #[test]
+    fn a_record_naming_a_voter_outside_the_cluster_or_twice_is_refused() {
+        let actor = PbftReplica::<u64>::new(PbftConfig::new(4));
+        let mut stable = PbftReplica::blank_stable(&actor);
+        let valid = record_with_prepare_voters(&[0, 3]);
+        PbftReplica::apply(&actor, &mut stable, &valid).expect("voters 0 and 3 of 4 apply");
+        let before = checkpoint_bytes(&PbftReplica::restore(&actor, stable.clone()));
+        for voters in [&[1, 4][..], &[u64::MAX], &[2, 2]] {
+            let record = record_with_prepare_voters(voters);
+            assert!(PbftReplica::apply(&actor, &mut stable, &record).is_none(), "{voters:?}");
+        }
+        assert_eq!(checkpoint_bytes(&PbftReplica::restore(&actor, stable)), before);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Damage anywhere in a record never panics `apply`, and a state
+        /// it accepts names only replicas as voters.
+        #[test]
+        fn a_damaged_record_never_admits_a_stranger(
+            extension in proptest::prelude::any::<bool>(),
+            flips in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), 1u8..=255), 1..4),
+        ) {
+            let (actor, [snapshot, ext]) = pinned_records();
+            let mut stable = PbftReplica::blank_stable(&actor);
+            let mut record = if extension {
+                PbftReplica::apply(&actor, &mut stable, &snapshot).expect("the snapshot applies");
+                ext
+            } else {
+                snapshot
+            };
+            for (at, mask) in flips {
+                let at = at % record.len();
+                record[at] ^= mask;
+            }
+            if PbftReplica::apply(&actor, &mut stable, &record).is_some() {
+                let voters = stable.slots.values().flat_map(|s| s.prepares.values().chain(s.commits.values()));
+                for set in voters {
+                    proptest::prop_assert!(set.iter().all(|v| v < PINNED_N), "{set:?}");
+                }
+            }
         }
     }
 }

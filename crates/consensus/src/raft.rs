@@ -8,7 +8,7 @@
 //! in this crate, Raft needs fewer phases and no all-to-all exchange —
 //! the CFT-vs-BFT gap experiment E5 quantifies exactly that.
 
-use crate::common::{hooks, quorum, DecidedLog, Payload};
+use crate::common::{hooks, quorum, DecidedLog, Payload, Voters};
 use pbc_sim::{Actor, Context, Durable, Message, NodeIdx, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -179,7 +179,7 @@ pub struct RaftNode<P> {
     /// Leader state.
     next_index: Vec<u64>,
     match_index: Vec<u64>,
-    votes: HashSet<NodeIdx>,
+    votes: Voters,
     /// Requests waiting for a leader. An entry leaves when it is
     /// *applied*, not when it is appended: an appended entry can still be
     /// truncated by a conflicting leader and must then be re-proposable.
@@ -208,7 +208,7 @@ impl<P: Payload> RaftNode<P> {
             last_applied: 0,
             next_index: vec![1; cfg.n],
             match_index: vec![0; cfg.n],
-            votes: HashSet::new(),
+            votes: Voters::default(),
             pending: PendingRequests::new(),
             last_heartbeat: 0,
             election_epoch: 0,

@@ -13,7 +13,7 @@
 //!    Precommit rounds, with value **locking** on a polka (> ⅔ prevotes)
 //!    for safety across rounds.
 
-use crate::common::{hooks, DecidedLog, Payload};
+use crate::common::{hooks, DecidedLog, Payload, Voters};
 use pbc_sim::{Actor, Context, Durable, Message, NodeIdx, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -139,7 +139,7 @@ struct RoundKey {
 #[derive(Default, Debug)]
 struct RoundVotes {
     /// digest option → (voters, accumulated power).
-    tallies: HashMap<Option<u64>, (HashSet<NodeIdx>, u64)>,
+    tallies: fxhash::FxHashMap<Option<u64>, (Voters, u64)>,
 }
 
 impl RoundVotes {
