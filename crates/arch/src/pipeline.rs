@@ -138,9 +138,9 @@ pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync)
     let f = &f;
     let mut chunks = items.chunks(items.len().div_ceil(workers));
     let first = chunks.next().expect("at least two chunks");
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> =
-            chunks.map(|chunk| s.spawn(move |_| chunk.iter().map(f).collect::<Vec<R>>())).collect();
+            chunks.map(|chunk| s.spawn(move || chunk.iter().map(f).collect::<Vec<R>>())).collect();
         let mut results = Vec::with_capacity(items.len());
         results.extend(first.iter().map(f));
         for h in handles {
@@ -148,7 +148,6 @@ pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync)
         }
         results
     })
-    .expect("crossbeam scope")
 }
 
 /// Executes `txs` against a shared read-only state snapshot, preserving

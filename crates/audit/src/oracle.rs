@@ -29,8 +29,7 @@ use crate::reference::ReferenceExecutor;
 use pbc_core::BlockchainNetwork;
 use pbc_crypto::merkle::{verify_inclusion, MerkleTree};
 use pbc_ledger::{
-    execute_and_apply, prove_absent, verify_absent, verify_key, verify_keys, ProofBatch,
-    StateStore, Version,
+    execute_and_apply, prove_absent, verify_absent, verify_key, ProofBatch, StateStore, Version,
 };
 use pbc_types::{encode::CanonicalEncode, Height, TxId};
 
@@ -424,11 +423,6 @@ fn audit_node(
     }
     let root = batch.root();
     let keys: Vec<String> = state.iter().map(|(k, _, _)| k.clone()).collect();
-    // Gather the whole sample, then verify it in one batched sweep: the
-    // proofs' hash walks run through the lane-interleaved SHA-256 kernel
-    // with lanes across proofs. Only a failing batch pays for the scalar
-    // re-check that names the culprit key.
-    let mut sampled: Vec<pbc_ledger::StateProof> = Vec::new();
     for i in sample_indices(keys.len()) {
         let key = &keys[i];
         let proof = batch.prove_key(key).ok_or_else(|| AuditError::ProofFailed {
@@ -441,19 +435,14 @@ fn audit_node(
                 reason: format!("state inclusion proof for {key:?} claims a stale value"),
             });
         }
-        sampled.push(proof);
+        if !verify_key(&root, &proof) {
+            return Err(AuditError::ProofFailed {
+                node,
+                reason: format!("state inclusion proof for {key:?} rejected"),
+            });
+        }
+        report.proofs_checked += 1;
     }
-    if !verify_keys(&root, &sampled) {
-        let culprit = sampled
-            .iter()
-            .find(|p| !verify_key(&root, p))
-            .map_or_else(|| "<batch/scalar disagreement>".into(), |p| format!("{:?}", p.key));
-        return Err(AuditError::ProofFailed {
-            node,
-            reason: format!("state inclusion proof for {culprit} rejected"),
-        });
-    }
-    report.proofs_checked += sampled.len();
     for i in sample_indices(keys.len()) {
         let key = &keys[i];
         // A key that hashes between this one and its neighbour: present

@@ -27,7 +27,7 @@ use pbc_arch::pipeline::{seal_block, spin};
 use pbc_arch::{BlockSeal, ExecutionPipeline, OxiiPipeline};
 use pbc_bench::persist::{persist_at, Disk};
 use pbc_bench::simcore::{
-    broadcast_flood, cancel_churn, chaos_run, chaos_storm, chaos_storm_par, consensus_run, Proto,
+    broadcast_flood, cancel_churn, chaos_run, chaos_storm, consensus_run, Proto,
 };
 use pbc_bench::{fmt_u64, header};
 use pbc_consensus::Payload;
@@ -125,26 +125,6 @@ fn bench_cancel_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("e12_cancel_churn");
     g.sample_size(if smoke() { 1 } else { 10 });
     g.bench_function("n16", |b| b.iter(|| cancel_churn(16, 0xBA5E, rounds)));
-    g.finish();
-}
-
-fn bench_storm_lanes(c: &mut Criterion) {
-    header(
-        "E12f: chaos storm across lane counts",
-        "every lane count must reproduce the sequential trace digest bit-for-bit",
-    );
-    let rounds = if smoke() { 50 } else { 3_000 };
-    let (seq, seq_digest) = chaos_storm_par(64, 0xBA5E, rounds, 1);
-    let mut g = c.benchmark_group("e12_storm_lanes");
-    g.sample_size(if smoke() { 1 } else { 10 });
-    for lanes in [1usize, 2, 4, 8] {
-        let (stats, digest) = chaos_storm_par(64, 0xBA5E, rounds, lanes);
-        assert_eq!(digest, seq_digest, "lanes={lanes} diverged from lanes=1");
-        assert_eq!(stats.events, seq.events, "lanes={lanes} event count drifted");
-        g.bench_with_input(BenchmarkId::new("n64", lanes), &lanes, |b, &lanes| {
-            b.iter(|| chaos_storm_par(64, 0xBA5E, rounds, lanes))
-        });
-    }
     g.finish();
 }
 
@@ -417,7 +397,6 @@ criterion_group!(
     bench_storm,
     bench_churn,
     bench_cancel_churn,
-    bench_storm_lanes,
     bench_depgraph,
     bench_payload,
     bench_block_path,

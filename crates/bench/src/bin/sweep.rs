@@ -31,12 +31,9 @@
 //! the differential auditor, and cold-verifies every node's ledger.
 //! Snapshots the numbers into `BENCH_STORE.json` by default.
 //!
-//! `sweep --par [out.json]` snapshots the multi-lane engine and the
-//! batched crypto kernels into `BENCH_PAR.json`: the chaos-storm
-//! lane-scaling curve (every lane count asserted bit-for-bit identical
-//! to the sequential engine), the cancellation-heavy churn microbench
-//! with its timer-conservation identity, and scalar-vs-batched rates
-//! for SHA-256 and Schnorr verification.
+//! `sweep --par [out.json]` snapshots the cancellation-heavy churn
+//! microbench (with its timer-conservation identity) and scalar-vs-
+//! batched Schnorr verification into `BENCH_PAR.json`.
 //! `E16_SMOKE=1` shrinks every budget for CI.
 //!
 //! `sweep --e2e [out.json]` drives the full client path — seeded open-
@@ -66,8 +63,7 @@
 //! shrinks the ladder for CI.
 
 use pbc_bench::simcore::{
-    broadcast_flood, cancel_churn, chaos_run, chaos_storm, chaos_storm_digest, chaos_storm_par,
-    consensus_run, Proto,
+    broadcast_flood, cancel_churn, chaos_run, chaos_storm, consensus_run, Proto,
 };
 use pbc_consensus::pbft::{PbftConfig, PbftMsg, PbftReplica};
 use pbc_sim::{Network, NetworkConfig};
@@ -569,59 +565,20 @@ fn store_smoke(out_path: &str) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// `--par`: the multi-lane engine + batched-kernel snapshot (E16).
+/// `--par`: the cancel-churn and batched-Schnorr snapshot (E16, E25).
 ///
-/// The determinism contract is asserted, not assumed: every lane count
-/// must reproduce the sequential chaos-storm digest bit-for-bit before
-/// its rate is recorded. Speedups are honest for the machine the run
-/// is on — `cores` is in the snapshot, and on a single-core host the
-/// lane curve measures synchronization overhead, not parallelism.
+/// Every row is best of `reps` runs of deterministic work, and `cores`
+/// is in the snapshot so a rate can be read against the host it ran on.
 fn par_bench(out_path: &str) {
     use pbc_crypto::schnorr_sig::{verify_batch, BatchItem, SigningKey};
-    use pbc_crypto::{sha256, sha256_multi};
 
     const SEED: u64 = 0xBA5E;
     let smoke = std::env::var("E16_SMOKE").is_ok_and(|v| v == "1");
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let reps = if smoke { 1 } else { 2 };
-    let storm_n = 64usize;
-    let storm_rounds: u64 = if smoke { 300 } else { 3_000 };
-    println!("par bench: cores={cores} smoke={smoke}");
+    let reps = if smoke { 1 } else { 5 };
+    println!("par bench: cores={cores} smoke={smoke} reps={reps}");
 
-    // -- 1. Lane-scaling curve on the chaos storm ----------------------
-    let seq_digest = chaos_storm_digest(storm_n, SEED, storm_rounds);
-    let (seq, seq_secs) = timed(reps, || chaos_storm(storm_n, SEED, storm_rounds));
-    let seq_eps = seq.events as f64 / seq_secs;
-    println!(
-        "chaos storm n={storm_n} rounds={storm_rounds} sequential: events={} {:.0} events/s",
-        seq.events, seq_eps
-    );
-    let mut lane_rows = Vec::new();
-    for lanes in [1usize, 2, 4, 8] {
-        let (_, digest) = chaos_storm_par(storm_n, SEED, storm_rounds, lanes);
-        assert_eq!(
-            digest, seq_digest,
-            "lanes={lanes} diverged from the sequential engine — determinism broken"
-        );
-        let ((stats, _), secs) =
-            timed(reps, || chaos_storm_par(storm_n, SEED, storm_rounds, lanes));
-        assert_eq!(stats.events, seq.events, "lanes={lanes} event count");
-        let eps = stats.events as f64 / secs;
-        println!(
-            "chaos storm n={storm_n} rounds={storm_rounds} lanes={lanes}: {:>12.0} events/s \
-             ({:.2}x sequential), digest ok",
-            eps,
-            eps / seq_eps
-        );
-        lane_rows.push(format!(
-            "    {{\"lanes\": {lanes}, \"events\": {}, \"secs\": {secs:.6}, \
-             \"events_per_sec\": {eps:.0}, \"speedup_vs_seq\": {:.4}, \"digest_ok\": true}}",
-            stats.events,
-            eps / seq_eps
-        ));
-    }
-
-    // -- 2. Cancellation-heavy churn (timer cancel path) ---------------
+    // -- 1. Cancellation-heavy churn (timer cancel path) ---------------
     let churn_rounds: u64 = if smoke { 2_000 } else { 40_000 };
     let (churn, churn_secs) = timed(reps, || cancel_churn(16, SEED, churn_rounds));
     let churn_eps = churn.events as f64 / churn_secs;
@@ -636,47 +593,24 @@ fn par_bench(out_path: &str) {
         churn.net.timers_pending,
     );
 
-    // -- 3. Batched SHA-256 vs scalar ----------------------------------
-    let hash_msgs: usize = if smoke { 8_192 } else { 65_536 };
-    let msg = [0xABu8; 64];
-    let t0 = Instant::now();
-    let mut acc = 0u8;
-    for _ in 0..hash_msgs {
-        acc ^= sha256(&msg).0[0];
-    }
-    let scalar_hps = hash_msgs as f64 / t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let refs: [&[u8]; 8] = [&msg; 8];
-    for _ in 0..hash_msgs / 8 {
-        acc ^= sha256_multi(&refs)[0].0[0];
-    }
-    let multi_hps = (hash_msgs - hash_msgs % 8) as f64 / t1.elapsed().as_secs_f64();
-    std::hint::black_box(acc);
-    println!(
-        "sha256 64B: scalar {scalar_hps:.0} hashes/s, 8-wide {multi_hps:.0} hashes/s \
-         ({:.2}x)",
-        multi_hps / scalar_hps
-    );
-
-    // -- 4. Batched Schnorr verification vs scalar ---------------------
+    // -- 2. Batched Schnorr verification vs scalar ---------------------
     let batch: usize = if smoke { 64 } else { 256 };
     let items_owned: Vec<(SigningKey, Vec<u8>)> = (0..batch)
         .map(|i| (SigningKey::derive(SEED, i as u64), format!("endorse-{i}").into_bytes()))
         .collect();
     let sigs: Vec<_> = items_owned.iter().map(|(k, m)| k.sign_deterministic(m)).collect();
-    let t4 = Instant::now();
-    let all_valid = items_owned.iter().zip(&sigs).all(|((k, m), s)| k.public.verify(m, s));
-    let scalar_vps = batch as f64 / t4.elapsed().as_secs_f64();
+    let (all_valid, scalar_secs) =
+        timed(reps, || items_owned.iter().zip(&sigs).all(|((k, m), s)| k.public.verify(m, s)));
     assert!(all_valid, "scalar verification must accept the honest batch");
+    let scalar_vps = batch as f64 / scalar_secs;
     let batch_items: Vec<BatchItem<'_>> = items_owned
         .iter()
         .zip(&sigs)
         .map(|((k, m), s)| BatchItem { key: k.public, msg: m, sig: *s })
         .collect();
-    let t5 = Instant::now();
-    let verdict = verify_batch(&batch_items);
-    let batch_vps = batch as f64 / t5.elapsed().as_secs_f64();
+    let (verdict, batch_secs) = timed(reps, || verify_batch(&batch_items));
     assert!(verdict.is_ok(), "batched verification must accept the honest batch");
+    let batch_vps = batch as f64 / batch_secs;
     println!(
         "schnorr verify batch={batch}: scalar {scalar_vps:.0} sigs/s, batched {batch_vps:.0} \
          sigs/s ({:.2}x)",
@@ -684,23 +618,17 @@ fn par_bench(out_path: &str) {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"pbc-par-bench-v1\",\n  \"seed\": {SEED},\n  \"cores\": {cores},\n  \
-         \"smoke\": {smoke},\n  \"chaos_storm\": {{\"n\": {storm_n}, \"rounds\": {storm_rounds}, \
-         \"sequential_events_per_sec\": {seq_eps:.0}, \"events\": {}, \"lanes\": [\n{}\n  ]}},\n  \
+        "{{\n  \"schema\": \"pbc-par-bench-v2\",\n  \"seed\": {SEED},\n  \"cores\": {cores},\n  \
+         \"smoke\": {smoke},\n  \"reps\": {reps},\n  \
          \"cancel_churn\": {{\"n\": 16, \"rounds\": {churn_rounds}, \"events\": {}, \
          \"events_per_sec\": {churn_eps:.0}, \"timers_set\": {}, \"timers_fired\": {}, \
          \"timers_cancelled\": {}, \"conserves_timers\": true}},\n  \
-         \"sha256_64b\": {{\"messages\": {hash_msgs}, \"scalar_hashes_per_sec\": {scalar_hps:.0}, \
-         \"wide8_hashes_per_sec\": {multi_hps:.0}, \"speedup\": {:.4}}},\n  \
          \"schnorr_verify\": {{\"batch\": {batch}, \"scalar_sigs_per_sec\": {scalar_vps:.0}, \
          \"batched_sigs_per_sec\": {batch_vps:.0}, \"speedup\": {:.4}}}\n}}\n",
-        seq.events,
-        lane_rows.join(",\n"),
         churn.events,
         churn.net.timers_set,
         churn.net.timers_fired,
         churn.net.timers_cancelled,
-        multi_hps / scalar_hps,
         batch_vps / scalar_vps,
     );
     std::fs::write(out_path, json).expect("write par bench json");

@@ -5,7 +5,7 @@
 //! detection** on each curve.
 //!
 //! Every point is measured in *simulator* time (ticks are abstract µs),
-//! so a curve is bit-for-bit reproducible across hosts and lane counts:
+//! so a curve is bit-for-bit reproducible across hosts:
 //! the numbers in `BENCH_E2E.json` are properties of the protocols, not
 //! of the machine the sweep ran on. Wall-clock only decides how long
 //! you wait for them.

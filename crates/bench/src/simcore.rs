@@ -49,7 +49,6 @@ use pbc_consensus::tendermint::{TendermintConfig, TendermintNode};
 use pbc_consensus::OrderingActor;
 use pbc_sim::{
     Actor, Context, FaultModel, LinkFault, Message, NetStats, Network, NetworkConfig, NodeIdx,
-    ParNetwork, SimNet,
 };
 
 /// Which consensus protocol a [`consensus_run`] drives.
@@ -235,30 +234,7 @@ pub fn broadcast_flood(n: usize, seed: u64, rounds: u64) -> RunStats {
 /// calendar queue stays `O(1)` regardless of population.
 pub fn chaos_storm(n: usize, seed: u64, rounds: u64) -> RunStats {
     let actors = (0..n).map(|_| StormNode::new(rounds)).collect();
-    let net = Network::new(actors, NetworkConfig { seed, ..Default::default() });
-    chaos_storm_on(net, n).0
-}
-
-/// [`chaos_storm`] on the multi-lane [`ParNetwork`] engine — the same
-/// seeded workload, the same fault model, `lanes` event lanes advancing
-/// under conservative lookahead. Also returns the final trace digest so
-/// callers can assert bit-for-bit agreement across lane counts (and
-/// against the sequential engine).
-pub fn chaos_storm_par(n: usize, seed: u64, rounds: u64, lanes: usize) -> (RunStats, u64) {
-    let actors = (0..n).map(|_| StormNode::new(rounds)).collect();
-    let net = ParNetwork::new(actors, NetworkConfig { seed, lanes, ..Default::default() });
-    chaos_storm_on(net, n)
-}
-
-/// Trace digest of the sequential [`chaos_storm`] run (for engine
-/// cross-checks without re-timing).
-pub fn chaos_storm_digest(n: usize, seed: u64, rounds: u64) -> u64 {
-    let actors = (0..n).map(|_| StormNode::new(rounds)).collect();
-    let net = Network::new(actors, NetworkConfig { seed, ..Default::default() });
-    chaos_storm_on(net, n).1
-}
-
-fn chaos_storm_on<N: SimNet<StormNode>>(mut net: N, n: usize) -> (RunStats, u64) {
+    let mut net = Network::new(actors, NetworkConfig { seed, ..Default::default() });
     net.set_fault_model(FaultModel::uniform(LinkFault {
         drop: 0.02,
         duplicate: 0.05,
@@ -278,8 +254,7 @@ fn chaos_storm_on<N: SimNet<StormNode>>(mut net: N, n: usize) -> (RunStats, u64)
     net.heal_partition();
     events += net.run_to_quiescence(u64::MAX);
     let decided = (0..n).map(|i| net.actor(i).received).sum();
-    let stats = RunStats { events, decided, sim_now: net.now(), net: net.stats().clone() };
-    (stats, net.trace_digest())
+    RunStats { events, decided, sim_now: net.now(), net: net.stats().clone() }
 }
 
 /// A chaos-storm participant: broadcasts every 4 ticks (staggered by
@@ -466,22 +441,5 @@ mod tests {
         let again = cancel_churn(16, 0xC0FE, 200);
         assert_eq!(stats.events, again.events);
         assert_eq!(stats.decided, again.decided);
-    }
-
-    #[test]
-    fn parallel_chaos_storm_matches_sequential_at_every_lane_count() {
-        // The bench's lane-scaling curve is only meaningful if every
-        // lane count replays the same execution: digests, event counts
-        // and fault counters must be bit-for-bit identical.
-        let seq_digest = chaos_storm_digest(8, 0xBA5E, 40);
-        let seq = chaos_storm(8, 0xBA5E, 40);
-        for lanes in [1usize, 2, 4] {
-            let (stats, digest) = chaos_storm_par(8, 0xBA5E, 40, lanes);
-            assert_eq!(digest, seq_digest, "lanes={lanes} diverged");
-            assert_eq!(stats.events, seq.events, "lanes={lanes} event count");
-            assert_eq!(stats.decided, seq.decided, "lanes={lanes} tokens received");
-            assert_eq!(stats.sim_now, seq.sim_now, "lanes={lanes} final time");
-            assert_eq!(format!("{:?}", stats.net), format!("{:?}", seq.net), "lanes={lanes} stats");
-        }
     }
 }

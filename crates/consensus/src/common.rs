@@ -10,11 +10,11 @@ use pbc_types::encode::{Decoder, Encoder};
 /// `digest_u64()`. Benches use `u64` payloads; the architecture crates
 /// decide on serialized blocks.
 ///
-/// `Send + Sync` are supertraits so any protocol message generic over a
-/// payload can cross lane-worker threads: the multi-lane simulator core
-/// (`pbc_sim::ParNetwork`) shares in-flight messages between lanes by
-/// `Arc`, and every payload in this workspace is plain owned data.
-pub trait Payload: Clone + PartialEq + std::fmt::Debug + Send + Sync {
+/// `Send` is a supertrait because the TCP runtime
+/// ([`crate::ordering::run_real`]) runs each replica, and the messages
+/// it sends, on threads of its own; every payload in this workspace is
+/// plain owned data.
+pub trait Payload: Clone + PartialEq + std::fmt::Debug + Send {
     /// A collision-resistant-enough digest for vote messages.
     fn digest_u64(&self) -> u64;
 

@@ -95,10 +95,9 @@ use crate::tendermint::{TendermintConfig, TendermintNode};
 use crate::wire::WireMsg;
 use pbc_sim::fault::LinkFault;
 use pbc_sim::{Actor, Adversary, Attack, Durable, NemesisOp, NetStats, Network, NetworkConfig};
-use pbc_sim::{NodeIdx, ParNetwork, SimNet, SimTime};
+use pbc_sim::{NodeIdx, SimTime};
 use pbc_store::{NodeStore, Recovery};
 use pbc_trace::TraceEvent;
-use std::marker::PhantomData;
 
 /// A consensus actor drivable by the generic ordering layer.
 ///
@@ -160,18 +159,15 @@ pub trait OrderingCluster<P: Payload> {
     /// Submits a payload whose client request is **scheduled** at the
     /// absolute tick `at` (clamped to `now + 1` if already past): the
     /// ingress path's client-arrival primitive, making arrivals
-    /// first-class simulation events with engine-invariant timing.
+    /// first-class simulation events.
     fn submit_at(&mut self, payload: P, at: SimTime);
 
-    /// Runs until the event queues drain or logical time exceeds
-    /// `deadline`; returns the number of events processed. Exact on
-    /// both engines (windows never cross the deadline), so ingress
-    /// drivers that advance time only through this call observe
-    /// identical `now()` values at any lane count.
+    /// Runs until the event queue drains or logical time exceeds
+    /// `deadline`; returns the number of events processed.
     fn run_until_time(&mut self, deadline: SimTime) -> u64;
 
     /// Digest of the delivery trace so far — the golden-trace handle
-    /// e2e determinism tests compare across engines and repeats.
+    /// e2e determinism tests compare across repeats.
     fn trace_digest(&self) -> u64;
 
     /// Replica `node`'s in-order decided prefix.
@@ -363,91 +359,6 @@ impl<A: OrderingActor> OrderingCluster<A::Payload> for Network<A> {
     }
 }
 
-/// The multi-lane parallel core is an ordering cluster too — with the
-/// same observable behaviour: digests, stats and decided logs are
-/// bit-for-bit those of the sequential engine at any lane count, so a
-/// consensus harness may swap engines freely. The one granularity
-/// difference is [`step`](OrderingCluster::step), which advances a whole
-/// conservative window rather than a single event (coarser, never
-/// different in outcome).
-impl<A> OrderingCluster<A::Payload> for ParNetwork<A>
-where
-    A: OrderingActor + Send,
-    A::Msg: Send + Sync,
-{
-    fn len(&self) -> usize {
-        ParNetwork::len(self)
-    }
-
-    fn protocol(&self) -> &'static str {
-        A::PROTOCOL
-    }
-
-    fn submit(&mut self, payload: A::Payload) {
-        self.inject_all(0, A::request_msg(payload), 1);
-    }
-
-    fn submit_at(&mut self, payload: A::Payload, at: SimTime) {
-        self.inject_all_at(0, A::request_msg(payload), at);
-    }
-
-    fn run_until_time(&mut self, deadline: SimTime) -> u64 {
-        ParNetwork::run_until(self, deadline)
-    }
-
-    fn trace_digest(&self) -> u64 {
-        ParNetwork::trace_digest(self)
-    }
-
-    fn decided(&self, node: NodeIdx) -> &[(u64, A::Payload, SimTime)] {
-        self.actor(node).log().delivered()
-    }
-
-    fn step(&mut self) -> bool {
-        ParNetwork::step(self)
-    }
-
-    fn now(&self) -> SimTime {
-        ParNetwork::now(self)
-    }
-
-    fn stats(&self) -> &NetStats {
-        ParNetwork::stats(self)
-    }
-
-    fn is_crashed(&self, node: NodeIdx) -> bool {
-        ParNetwork::is_crashed(self, node)
-    }
-
-    fn crash(&mut self, node: NodeIdx) {
-        ParNetwork::crash(self, node)
-    }
-
-    fn recover(&mut self, node: NodeIdx) {
-        ParNetwork::recover(self, node)
-    }
-
-    fn restart(&mut self, node: NodeIdx) {
-        ParNetwork::restart(self, node)
-    }
-
-    fn partition(&mut self, groups: &[Vec<NodeIdx>]) {
-        ParNetwork::partition(self, groups)
-    }
-
-    fn heal_partition(&mut self) {
-        ParNetwork::heal_partition(self)
-    }
-
-    fn degrade_link(&mut self, from: NodeIdx, to: NodeIdx, fault: LinkFault) {
-        self.fault_model_mut().set_link(from, to, fault);
-    }
-
-    fn heal_links(&mut self) {
-        self.fault_model_mut().heal_all();
-    }
-}
-
 /// A replica group whose checkpoints live on **real stable stores**:
 /// every node owns a [`pbc_store::NodeStore`] (over a real or
 /// fault-injecting filesystem), crashes go through the total-loss path
@@ -460,12 +371,8 @@ where
 /// WAL record, `BitRot` flips bits in a sealed segment. The store's
 /// staged recovery is then on the hook to keep the replica's safety
 /// state intact — which `tests/chaos.rs` audits end to end.
-/// The engine is a type parameter (`N: SimNet<A>`, defaulting to the
-/// sequential [`Network`]) so the same disk-backed nemesis semantics run
-/// unchanged on the multi-lane parallel core: [`durable_cluster_with`]
-/// picks [`ParNetwork`] whenever `cfg.lanes > 1`.
-pub struct DurableNet<A: OrderingActor + Durable, N: SimNet<A> = Network<A>> {
-    net: N,
+pub struct DurableNet<A: OrderingActor + Durable> {
+    net: Network<A>,
     stores: Vec<NodeStore>,
     /// What each node's last checkpoint record covers: the next record
     /// says what changed since. Back at the default — and the next
@@ -478,7 +385,6 @@ pub struct DurableNet<A: OrderingActor + Durable, N: SimNet<A> = Network<A>> {
     /// Deterministic seed counter for corruption faults.
     fault_seq: u64,
     recoveries: Vec<(NodeIdx, Recovery)>,
-    _actor: PhantomData<fn() -> A>,
 }
 
 impl<A> DurableNet<A>
@@ -492,25 +398,8 @@ where
     /// Panics unless `stores.len() == actors.len()`.
     pub fn new(actors: Vec<A>, cfg: NetworkConfig, stores: Vec<NodeStore>) -> Self {
         assert_eq!(actors.len(), stores.len(), "one store per replica");
-        Self::with_net(Network::new(actors, cfg), stores)
-    }
-}
-
-impl<A, N> DurableNet<A, N>
-where
-    A: OrderingActor + Durable,
-    A::Payload: PersistPayload,
-    N: SimNet<A>,
-{
-    /// Wires an already-built (but not yet started) engine to per-node
-    /// `stores` and starts it. This is how the registry mounts durable
-    /// clusters on the parallel core.
-    ///
-    /// # Panics
-    /// Panics unless `stores.len()` matches the engine's node count.
-    pub fn with_net(mut net: N, stores: Vec<NodeStore>) -> Self {
-        assert_eq!(net.len(), stores.len(), "one store per replica");
-        let n = net.len();
+        let n = actors.len();
+        let mut net = Network::new(actors, cfg);
         net.start();
         DurableNet {
             net,
@@ -519,7 +408,6 @@ where
             amnesiac: vec![false; n],
             fault_seq: 0,
             recoveries: Vec::new(),
-            _actor: PhantomData,
         }
     }
 
@@ -578,24 +466,23 @@ where
         &mut self.stores[node]
     }
 
-    /// The underlying engine (read access for assertions).
-    pub fn network(&self) -> &N {
+    /// The underlying network (read access for assertions).
+    pub fn network(&self) -> &Network<A> {
         &self.net
     }
 
-    /// The underlying engine, mutably — for harnesses that need raw
+    /// The underlying network, mutably — for harnesses that need raw
     /// injection or time control beyond the [`OrderingCluster`] surface
     /// (e.g. replaying a golden scenario event-for-event).
-    pub fn network_mut(&mut self) -> &mut N {
+    pub fn network_mut(&mut self) -> &mut Network<A> {
         &mut self.net
     }
 }
 
-impl<A, N> OrderingCluster<A::Payload> for DurableNet<A, N>
+impl<A> OrderingCluster<A::Payload> for DurableNet<A>
 where
     A: OrderingActor + Durable,
     A::Payload: PersistPayload,
-    N: SimNet<A>,
 {
     fn len(&self) -> usize {
         self.net.len()
@@ -764,69 +651,35 @@ pub fn protocol_info(name: &str) -> Option<&'static ProtocolInfo> {
     PROTOCOLS.iter().find(|p| p.name == name)
 }
 
-/// Builds and starts the engine `cfg` asks for: the sequential
-/// [`Network`] at `lanes <= 1`, the multi-lane [`ParNetwork`] above —
-/// observably identical either way (bit-for-bit digests and stats).
-fn engine<A>(actors: Vec<A>, cfg: NetworkConfig) -> Box<dyn OrderingCluster<A::Payload>>
-where
-    A: OrderingActor + Send + 'static,
-    A::Msg: Send + Sync,
-{
-    if cfg.lanes > 1 {
-        let mut net = ParNetwork::new(actors, cfg);
-        net.start();
-        Box::new(net)
-    } else {
-        let mut net = Network::new(actors, cfg);
-        net.start();
-        Box::new(net)
-    }
-}
-
-/// [`engine`]'s durable counterpart: mounts [`DurableNet`] on whichever
-/// engine `cfg.lanes` selects, so disk-backed chaos runs scale across
-/// lanes with identical traces.
-fn durable_engine<A>(
-    actors: Vec<A>,
-    cfg: NetworkConfig,
-    stores: Vec<NodeStore>,
-) -> Box<dyn OrderingCluster<A::Payload>>
-where
-    A: OrderingActor + Durable + Send + 'static,
-    A::Msg: Send + Sync,
-    A::Payload: PersistPayload,
-{
-    if cfg.lanes > 1 {
-        Box::new(DurableNet::with_net(ParNetwork::new(actors, cfg), stores))
-    } else {
-        Box::new(DurableNet::new(actors, cfg, stores))
-    }
-}
-
 /// Builds, wires, and starts a cluster over `actors`, wrapping every
 /// replica in a Byzantine [`Adversary`] when any attacks are requested.
-fn finish<A>(
+fn finish<A: OrderingActor + 'static>(
     actors: Vec<A>,
     cfg: NetworkConfig,
     byzantine: &[(NodeIdx, Vec<Attack>)],
-) -> Box<dyn OrderingCluster<A::Payload>>
-where
-    A: OrderingActor + Send + 'static,
-    A::Msg: Send + Sync,
-{
+) -> Box<dyn OrderingCluster<A::Payload>> {
     if byzantine.is_empty() {
-        engine(actors, cfg)
-    } else {
-        let wrapped: Vec<Adversary<A>> = actors
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| match byzantine.iter().find(|(node, _)| *node == i) {
-                Some((_, attacks)) => Adversary::new(a, attacks.clone()),
-                None => Adversary::honest(a),
-            })
-            .collect();
-        engine(wrapped, cfg)
+        return started(actors, cfg);
     }
+    let wrapped: Vec<Adversary<A>> = actors
+        .into_iter()
+        .enumerate()
+        .map(|(i, a)| match byzantine.iter().find(|(node, _)| *node == i) {
+            Some((_, attacks)) => Adversary::new(a, attacks.clone()),
+            None => Adversary::honest(a),
+        })
+        .collect();
+    started(wrapped, cfg)
+}
+
+/// A started [`Network`] over `actors`, erased to an ordering cluster.
+fn started<A: OrderingActor + 'static>(
+    actors: Vec<A>,
+    cfg: NetworkConfig,
+) -> Box<dyn OrderingCluster<A::Payload>> {
+    let mut net = Network::new(actors, cfg);
+    net.start();
+    Box::new(net)
 }
 
 // Uniform per-protocol constructors: each takes a replica count and
@@ -907,7 +760,7 @@ macro_rules! ordering_registry {
             stores: Vec<NodeStore>,
         ) -> Option<Box<dyn OrderingCluster<P>>> {
             match proto {
-                $( $name => Some(durable_engine($builder(n), cfg, stores)), )*
+                $( $name => Some(Box::new(DurableNet::new($builder(n), cfg, stores))), )*
                 _ => None,
             }
         }
@@ -1059,48 +912,6 @@ mod tests {
                 "{proto}: {calls} digest calls for {REQUESTS} requests on {n} replicas"
             );
         }
-    }
-
-    #[test]
-    fn lane_built_clusters_decide_identically() {
-        // `lanes > 1` routes the registry through the parallel core. The
-        // decided logs of every replica must match the sequential run
-        // slot-for-slot. (Final `now`/stats are *not* compared here:
-        // `run_until_decided` stops at engine-granular points — one event
-        // vs one window — so the stopping time differs even though the
-        // underlying executions are bit-for-bit identical, which the
-        // golden-trace suite pins at equal deadlines.)
-        for info in PROTOCOLS {
-            let n = if info.name == "minbft" { 3 } else { 4 };
-            let mut runs = Vec::new();
-            for lanes in [1usize, 3] {
-                let cfg = NetworkConfig { seed: 0x1A9E5, lanes, ..Default::default() };
-                let mut c = cluster::<u64>(info.name, n, cfg).expect("registered protocol");
-                for r in 0..3u64 {
-                    c.submit(500 + r);
-                }
-                assert!(c.run_until_decided(3, 2_000_000), "{} lanes={lanes}", info.name);
-                let logs: Vec<Vec<u64>> =
-                    (0..n).map(|i| c.decided(i).iter().map(|(_, p, _)| *p).collect()).collect();
-                runs.push(logs);
-            }
-            assert_eq!(runs[0], runs[1], "{}: lanes=3 diverged from sequential", info.name);
-        }
-    }
-
-    #[test]
-    fn lane_built_durable_cluster_survives_amnesia() {
-        let cfg = NetworkConfig { seed: 0xD15C, lanes: 2, ..Default::default() };
-        let mut c = durable_cluster_with::<u64>("raft", 3, cfg, fault_stores(3, 0xD15C)).unwrap();
-        c.submit(41);
-        assert!(c.run_until_decided(1, 20_000_000), "parallel durable raft stalled");
-        c.persist();
-        c.apply_nemesis(&NemesisOp::CrashAmnesia { node: 1 });
-        c.apply_nemesis(&NemesisOp::Restart { node: 1 });
-        assert!(c.run_until_decided(1, 20_000_000), "post-restart convergence");
-        assert_eq!(c.decided(1)[0].1, 41);
-        let cold = c.cold_decided(1).expect("durable cluster reads cold");
-        assert_eq!(cold[0].1, 41);
     }
 
     #[test]

@@ -9,14 +9,12 @@
 //! batch resolves its transactions back against the queue — stamping
 //! per-client arrival→decision latency through `pbc-trace`.
 //!
-//! ## Determinism across engines
+//! ## Determinism
 //!
 //! The driver advances the simulation **only** through
 //! `run_until_time`, whose deadlines are pure functions of the arrival
-//! timeline and of decide times (both engine-invariant). Sequential and
-//! multi-lane engines therefore observe identical `now()` values at
-//! every decision point, and a seeded run is bit-for-bit reproducible
-//! at any lane count — the property the golden ingress tests pin.
+//! timeline and of decide times, so a seeded run is bit-for-bit
+//! reproducible — the property the golden ingress tests pin.
 
 use crate::batch::Batch;
 use crate::network::BlockchainNetwork;
@@ -129,9 +127,9 @@ impl BlockchainNetwork {
         loop {
             match load.peek(horizon) {
                 Some(t) => {
-                    // Advance to just before the arrival: both engines
-                    // process exactly the events scheduled ≤ t-1, so
-                    // `now()` is engine-invariant here.
+                    // Advance to just before the arrival: exactly the
+                    // events scheduled ≤ t-1 run, so `now()` here is a
+                    // function of the seed.
                     self.ordering.run_until_time(t.saturating_sub(1));
                     self.resolve_decided(
                         load,

@@ -139,7 +139,6 @@ pub struct NetworkBuilder {
     arch: ArchKind,
     latency: LatencyModel,
     seed: u64,
-    lanes: usize,
     batch_size: usize,
     initial_state: StateStore,
     byzantine: Vec<(usize, Vec<Attack>)>,
@@ -156,7 +155,6 @@ impl NetworkBuilder {
             arch: ArchKind::Ox,
             latency: LatencyModel::lan(),
             seed: 0,
-            lanes: 1,
             batch_size: 32,
             initial_state: StateStore::new(),
             byzantine: Vec::new(),
@@ -186,16 +184,6 @@ impl NetworkBuilder {
     /// Sets the simulation seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the event-lane count. With `n > 1` the cluster runs on the
-    /// multi-lane parallel simulator core ([`pbc_sim::ParNetwork`]):
-    /// windows of events execute concurrently across lanes, while
-    /// digests, counters and decided logs stay bit-for-bit identical to
-    /// the sequential engine — a performance knob, not a semantic one.
-    pub fn lanes(mut self, n: usize) -> Self {
-        self.lanes = n.max(1);
         self
     }
 
@@ -248,12 +236,7 @@ impl NetworkBuilder {
     /// [`byzantine`](NetworkBuilder::byzantine) are both configured, or
     /// if the durable store count differs from `n`.
     pub fn build(self) -> BlockchainNetwork {
-        let cfg = NetworkConfig {
-            latency: self.latency,
-            seed: self.seed,
-            drop_rate: 0.0,
-            lanes: self.lanes,
-        };
+        let cfg = NetworkConfig { latency: self.latency, seed: self.seed, drop_rate: 0.0 };
         let ordering = if let Some(stores) = self.stores {
             assert!(
                 self.byzantine.is_empty(),
@@ -698,7 +681,7 @@ impl BlockchainNetwork {
     }
 
     /// Digest of the consensus delivery trace so far — the golden-trace
-    /// handle determinism tests compare across engines and repeats.
+    /// handle determinism tests compare across repeats.
     pub fn trace_digest(&self) -> u64 {
         self.ordering.trace_digest()
     }

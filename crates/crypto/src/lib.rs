@@ -53,4 +53,4 @@ pub mod sig;
 pub mod token;
 
 pub use hash::Hash;
-pub use sha256::{sha256, sha256_multi};
+pub use sha256::sha256;

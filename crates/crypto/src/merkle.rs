@@ -7,7 +7,7 @@
 //! duplicates them instead; promotion avoids the duplicate-leaf ambiguity).
 
 use crate::hash::Hash;
-use crate::sha256::{sha256_concat, sha256_multi};
+use crate::sha256::sha256_concat;
 use serde::{Deserialize, Serialize};
 
 /// Hashes a leaf with domain separation.
@@ -20,20 +20,8 @@ pub fn node_hash(left: &Hash, right: &Hash) -> Hash {
     sha256_concat(&[&[0x01], &left.0, &right.0])
 }
 
-/// The 65-byte preimage of an interior node: `0x01 ‖ left ‖ right`.
-fn node_preimage(left: &Hash, right: &Hash) -> [u8; 65] {
-    let mut buf = [0u8; 65];
-    buf[0] = 0x01;
-    buf[1..33].copy_from_slice(&left.0);
-    buf[33..].copy_from_slice(&right.0);
-    buf
-}
-
 /// Computes one interior level from `prev`: adjacent pairs hashed with
-/// [`node_hash`], a trailing odd node promoted unchanged. Scalar on
-/// purpose: one 65-byte node costs less through the scalar compressor
-/// than per lane through `sha256_multi`, and a block root over 8–128
-/// memoised leaves is faster this way too (EXPERIMENTS.md E23).
+/// [`node_hash`], a trailing odd node promoted unchanged.
 fn hash_level(prev: &[Hash]) -> Vec<Hash> {
     let mut next: Vec<Hash> = prev.chunks_exact(2).map(|p| node_hash(&p[0], &p[1])).collect();
     if prev.len() % 2 == 1 {
@@ -178,115 +166,6 @@ pub fn verify_inclusion_hash(root: &Hash, leaf: Hash, proof: &MerkleProof) -> bo
     steps.next().is_none() && cur == *root
 }
 
-/// In-flight state of one proof inside [`verify_inclusion_hash_batch`].
-struct ProofWalk<'a> {
-    cur: Hash,
-    idx: usize,
-    size: usize,
-    steps: std::slice::Iter<'a, ProofStep>,
-}
-
-impl ProofWalk<'_> {
-    /// Advances through promoted-odd levels (which consume no step) and
-    /// returns the next interior-node preimage to hash, `Ok(None)` when
-    /// the walk reached the root, or `Err(())` on a structural mismatch.
-    fn next_job(&mut self) -> Result<Option<[u8; 65]>, ()> {
-        while self.size > 1 {
-            if !self.idx.is_multiple_of(2) {
-                return match self.steps.next() {
-                    Some(ProofStep::Left(sib)) => Ok(Some(node_preimage(sib, &self.cur))),
-                    _ => Err(()),
-                };
-            } else if self.idx + 1 < self.size {
-                return match self.steps.next() {
-                    Some(ProofStep::Right(sib)) => Ok(Some(node_preimage(&self.cur, sib))),
-                    _ => Err(()),
-                };
-            }
-            // Promoted odd tail: no hash at this level.
-            self.idx /= 2;
-            self.size = self.size.div_ceil(2);
-        }
-        Ok(None)
-    }
-
-    /// Consumes the hash produced for the job returned by [`Self::next_job`].
-    fn absorb(&mut self, parent: Hash) {
-        self.cur = parent;
-        self.idx /= 2;
-        self.size = self.size.div_ceil(2);
-    }
-}
-
-/// Verifies many already-hashed leaves against one `root`, folding the
-/// proofs' interior-node hashes through the lane-interleaved SHA-256
-/// kernel — lanes run *across proofs*, so the 65-byte node preimages of
-/// up to 8 proofs share one compression scan per tree level.
-///
-/// Returns `true` iff **every** `(leaf, proof)` pair verifies, with
-/// exactly the acceptance set of [`verify_inclusion_hash`] applied to
-/// each pair. Callers who need to name the failing entry re-check
-/// scalar-wise on `false` (the batch is the fast path; failure is the
-/// rare one).
-pub fn verify_inclusion_hash_batch(root: &Hash, items: &[(Hash, &MerkleProof)]) -> bool {
-    let mut walks: Vec<ProofWalk<'_>> = Vec::with_capacity(items.len());
-    for (leaf, proof) in items {
-        if proof.index >= proof.leaves {
-            return false;
-        }
-        walks.push(ProofWalk {
-            cur: *leaf,
-            idx: proof.index,
-            size: proof.leaves,
-            steps: proof.path.iter(),
-        });
-    }
-    // Round-robin: every round gathers one pending interior hash per
-    // still-walking proof and runs them through the wide kernel.
-    let mut active: Vec<usize> = (0..walks.len()).collect();
-    while !active.is_empty() {
-        let mut jobs: Vec<(usize, [u8; 65])> = Vec::with_capacity(active.len());
-        let mut still = Vec::with_capacity(active.len());
-        for &w in &active {
-            match walks[w].next_job() {
-                Err(()) => return false,
-                Ok(None) => {
-                    let walk = &mut walks[w];
-                    if walk.steps.next().is_some() || walk.cur != *root {
-                        return false;
-                    }
-                }
-                Ok(Some(buf)) => {
-                    jobs.push((w, buf));
-                    still.push(w);
-                }
-            }
-        }
-        let mut i = 0;
-        while i + 8 <= jobs.len() {
-            let refs: [&[u8]; 8] = std::array::from_fn(|k| jobs[i + k].1.as_slice());
-            for (k, h) in sha256_multi(&refs).into_iter().enumerate() {
-                walks[jobs[i + k].0].absorb(h);
-            }
-            i += 8;
-        }
-        if i + 4 <= jobs.len() {
-            let refs: [&[u8]; 4] = std::array::from_fn(|k| jobs[i + k].1.as_slice());
-            for (k, h) in sha256_multi(&refs).into_iter().enumerate() {
-                walks[jobs[i + k].0].absorb(h);
-            }
-            i += 4;
-        }
-        while i < jobs.len() {
-            let h = sha256_concat(&[jobs[i].1.as_slice()]);
-            walks[jobs[i].0].absorb(h);
-            i += 1;
-        }
-        active = still;
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,6 +180,9 @@ mod tests {
         assert_eq!(t.root(), Hash::ZERO);
         assert!(t.is_empty());
         assert!(t.prove(0).is_none());
+        // A proof over zero leaves proves nothing, even against the empty root.
+        let nothing = MerkleProof { index: 0, leaves: 0, path: vec![] };
+        assert!(!verify_inclusion_hash(&Hash::ZERO, Hash::ZERO, &nothing));
     }
 
     #[test]
@@ -330,6 +212,9 @@ mod tests {
         let t = MerkleTree::build(&ls);
         let p = t.prove(3).unwrap();
         assert!(!verify_inclusion(&t.root(), b"tx-4", &p));
+        let t16 = MerkleTree::build(&leaves(16));
+        let p = t16.prove(7).unwrap();
+        assert!(!verify_inclusion_hash(&t16.root(), leaf_hash(b"not-tx-7"), &p));
     }
 
     #[test]
@@ -338,6 +223,8 @@ mod tests {
         let t2 = MerkleTree::build(&leaves(9));
         let p = t1.prove(2).unwrap();
         assert!(!verify_inclusion(&t2.root(), b"tx-2", &p));
+        let foreign = t2.prove(2).unwrap();
+        assert!(!verify_inclusion_hash(&t1.root(), leaf_hash(b"tx-2"), &foreign));
     }
 
     #[test]
@@ -374,6 +261,10 @@ mod tests {
                 }
             }
         }
+        let t = MerkleTree::build(&leaves(16));
+        let mut far = t.prove(0).unwrap();
+        far.index = 99;
+        assert!(!verify_inclusion_hash(&t.root(), leaf_hash(b"tx-0"), &far));
     }
 
     #[test]
@@ -398,6 +289,14 @@ mod tests {
         let mut truncated = t.prove(2).unwrap();
         truncated.path.pop();
         assert!(!verify_inclusion(&t.root(), &ls[2], &truncated));
+        let t16 = MerkleTree::build(&leaves(16));
+        let leaf = leaf_hash(b"tx-5");
+        let mut extra = t16.prove(5).unwrap();
+        extra.path.push(extra.path[0]);
+        assert!(!verify_inclusion_hash(&t16.root(), leaf, &extra));
+        let mut short = t16.prove(5).unwrap();
+        short.path.pop();
+        assert!(!verify_inclusion_hash(&t16.root(), leaf, &short));
     }
 
     #[test]
@@ -427,71 +326,6 @@ mod tests {
             let reference = scalar_root(ls.iter().map(|l| leaf_hash(l)).collect());
             assert_eq!(t.root(), reference, "n={n}");
         }
-    }
-
-    #[test]
-    fn batched_proof_verification_matches_scalar() {
-        // Lanes run across proofs: sizes around the 8/4/scalar splits,
-        // plus promotion-heavy odd trees, must all agree with the
-        // per-proof verifier.
-        for n in [1usize, 2, 3, 5, 8, 9, 13, 16, 17, 33] {
-            let ls = leaves(n);
-            let t = MerkleTree::build(&ls);
-            let proofs: Vec<MerkleProof> = (0..n).map(|i| t.prove(i).unwrap()).collect();
-            let items: Vec<(Hash, &MerkleProof)> =
-                ls.iter().zip(&proofs).map(|(l, p)| (leaf_hash(l), p)).collect();
-            assert!(verify_inclusion_hash_batch(&t.root(), &items), "n={n}");
-        }
-        // Empty batch is vacuously true.
-        assert!(verify_inclusion_hash_batch(&Hash::ZERO, &[]));
-    }
-
-    #[test]
-    fn batched_proof_verification_rejects_any_bad_entry() {
-        let ls = leaves(16);
-        let t = MerkleTree::build(&ls);
-        let proofs: Vec<MerkleProof> = (0..16).map(|i| t.prove(i).unwrap()).collect();
-        let good: Vec<(Hash, &MerkleProof)> =
-            ls.iter().zip(&proofs).map(|(l, p)| (leaf_hash(l), p)).collect();
-        // Wrong leaf hash at one position poisons the batch.
-        let mut wrong_leaf = good.clone();
-        wrong_leaf[7].0 = leaf_hash(b"not-tx-7");
-        assert!(!verify_inclusion_hash_batch(&t.root(), &wrong_leaf));
-        // Lying index, truncated path, and out-of-range index all reject,
-        // exactly as the scalar verifier would.
-        let mut lying = proofs[3].clone();
-        lying.index = 4;
-        let mut batch = good.clone();
-        batch[3].1 = &lying;
-        assert!(!verify_inclusion_hash_batch(&t.root(), &batch));
-        let mut truncated = proofs[5].clone();
-        truncated.path.pop();
-        let mut batch = good.clone();
-        batch[5].1 = &truncated;
-        assert!(!verify_inclusion_hash_batch(&t.root(), &batch));
-        let mut oob = proofs[0].clone();
-        oob.index = 99;
-        let mut batch = good;
-        batch[0].1 = &oob;
-        assert!(!verify_inclusion_hash_batch(&t.root(), &batch));
-    }
-
-    #[test]
-    fn batched_verification_agrees_with_scalar_on_mixed_sizes() {
-        // Proofs from *different* trees against one root: only those
-        // from the matching tree survive scalar verification, so the
-        // batch must reject; the all-matching subset must pass.
-        let ls8 = leaves(8);
-        let ls9 = leaves(9);
-        let t8 = MerkleTree::build(&ls8);
-        let t9 = MerkleTree::build(&ls9);
-        let p8: Vec<MerkleProof> = (0..8).map(|i| t8.prove(i).unwrap()).collect();
-        let foreign = t9.prove(2).unwrap();
-        let mut items: Vec<(Hash, &MerkleProof)> =
-            ls8.iter().zip(&p8).map(|(l, p)| (leaf_hash(l), p)).collect();
-        assert!(verify_inclusion_hash_batch(&t8.root(), &items));
-        items[2] = (leaf_hash(&ls9[2]), &foreign);
-        assert!(!verify_inclusion_hash_batch(&t8.root(), &items));
     }
 
     #[test]

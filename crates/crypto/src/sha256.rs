@@ -175,130 +175,6 @@ pub fn sha256(data: &[u8]) -> Hash {
     h.finalize()
 }
 
-/// `L`-way block-interleaved SHA-256 over `L` equal-length messages.
-///
-/// The compression function runs in structure-of-arrays form: every
-/// working variable is a `[u32; L]` vector and each round updates all
-/// `L` lanes with the same straight-line arithmetic, which LLVM
-/// auto-vectorizes into SIMD at `L = 4` / `L = 8`. The digests are
-/// bit-for-bit [`sha256`] of each message — this is a throughput knob
-/// for batched proof validation, never a different hash.
-///
-/// # Panics
-/// Panics unless all `L` messages have the same length (lanes advance
-/// in lock-step through the same block schedule).
-pub fn sha256_multi<const L: usize>(msgs: &[&[u8]; L]) -> [Hash; L] {
-    let len = msgs[0].len();
-    assert!(
-        msgs.iter().all(|m| m.len() == len),
-        "sha256_multi lanes must carry equal-length messages"
-    );
-    let nblocks = (len + 9).div_ceil(64);
-    let mut state = [[0u32; L]; 8];
-    for (j, h) in H0.iter().enumerate() {
-        state[j] = [*h; L];
-    }
-    let bit_len = (len as u64) * 8;
-    let mut blocks = [[0u8; 64]; L];
-    for b in 0..nblocks {
-        let start = b * 64;
-        for (l, msg) in msgs.iter().enumerate() {
-            let mut buf = [0u8; 64];
-            if start + 64 <= len {
-                buf.copy_from_slice(&msg[start..start + 64]);
-            } else {
-                for (k, slot) in buf.iter_mut().enumerate() {
-                    let idx = start + k;
-                    *slot = match idx.cmp(&len) {
-                        std::cmp::Ordering::Less => msg[idx],
-                        std::cmp::Ordering::Equal => 0x80,
-                        std::cmp::Ordering::Greater => 0,
-                    };
-                }
-            }
-            if b + 1 == nblocks {
-                // The length suffix always fits: nblocks rounds up past
-                // `len + 9`, so bytes 56..64 of the last block are pad.
-                buf[56..].copy_from_slice(&bit_len.to_be_bytes());
-            }
-            blocks[l] = buf;
-        }
-        compress_wide(&mut state, &blocks);
-    }
-    let mut out = [Hash([0u8; 32]); L];
-    for (l, h) in out.iter_mut().enumerate() {
-        for (j, s) in state.iter().enumerate() {
-            h.0[j * 4..j * 4 + 4].copy_from_slice(&s[l].to_be_bytes());
-        }
-    }
-    out
-}
-
-/// The SoA compression kernel: one 512-bit block per lane, all lanes in
-/// lock-step. Inner `for l in 0..L` loops are branch-free straight-line
-/// u32 arithmetic over fixed-size arrays — the shape the vectorizer
-/// turns into packed adds/rotates.
-#[allow(clippy::needless_range_loop)] // lock-step index form is the vectorizable shape
-fn compress_wide<const L: usize>(state: &mut [[u32; L]; 8], blocks: &[[u8; 64]; L]) {
-    let mut w = [[0u32; L]; 64];
-    for i in 0..16 {
-        for l in 0..L {
-            let o = i * 4;
-            w[i][l] = u32::from_be_bytes([
-                blocks[l][o],
-                blocks[l][o + 1],
-                blocks[l][o + 2],
-                blocks[l][o + 3],
-            ]);
-        }
-    }
-    for i in 16..64 {
-        for l in 0..L {
-            let w15 = w[i - 15][l];
-            let w2 = w[i - 2][l];
-            let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
-            let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
-            w[i][l] = w[i - 16][l].wrapping_add(s0).wrapping_add(w[i - 7][l]).wrapping_add(s1);
-        }
-    }
-
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for i in 0..64 {
-        let mut t1 = [0u32; L];
-        let mut t2 = [0u32; L];
-        for l in 0..L {
-            let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
-            let ch = (e[l] & f[l]) ^ (!e[l] & g[l]);
-            t1[l] = h[l].wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i][l]);
-            let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
-            let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
-            t2[l] = s0.wrapping_add(maj);
-        }
-        h = g;
-        g = f;
-        f = e;
-        for l in 0..L {
-            e[l] = d[l].wrapping_add(t1[l]);
-        }
-        d = c;
-        c = b;
-        b = a;
-        for l in 0..L {
-            a[l] = t1[l].wrapping_add(t2[l]);
-        }
-    }
-    for l in 0..L {
-        state[0][l] = state[0][l].wrapping_add(a[l]);
-        state[1][l] = state[1][l].wrapping_add(b[l]);
-        state[2][l] = state[2][l].wrapping_add(c[l]);
-        state[3][l] = state[3][l].wrapping_add(d[l]);
-        state[4][l] = state[4][l].wrapping_add(e[l]);
-        state[5][l] = state[5][l].wrapping_add(f[l]);
-        state[6][l] = state[6][l].wrapping_add(g[l]);
-        state[7][l] = state[7][l].wrapping_add(h[l]);
-    }
-}
-
 /// SHA-256 over the concatenation of multiple parts, without materialising
 /// the concatenation.
 pub fn sha256_concat(parts: &[&[u8]]) -> Hash {
@@ -384,32 +260,5 @@ mod tests {
         let b = b"world".to_vec();
         let joined = [a.clone(), b.clone()].concat();
         assert_eq!(sha256_concat(&[&a, &b]), sha256(&joined));
-    }
-
-    #[test]
-    fn multi_matches_scalar_at_every_padding_shape() {
-        // Lengths straddling every padding regime: empty, short, the
-        // 55/56 boundary, exact blocks, the 65-byte Merkle node shape,
-        // and multi-block messages.
-        for len in [0usize, 1, 31, 55, 56, 63, 64, 65, 119, 120, 127, 128, 200] {
-            let msgs: Vec<Vec<u8>> =
-                (0..8u8).map(|l| (0..len).map(|i| l ^ (i as u8)).collect()).collect();
-            let refs8: [&[u8]; 8] = std::array::from_fn(|i| msgs[i].as_slice());
-            let out8 = sha256_multi(&refs8);
-            for l in 0..8 {
-                assert_eq!(out8[l], sha256(&msgs[l]), "len={len} lane={l} (8-wide)");
-            }
-            let refs4: [&[u8]; 4] = std::array::from_fn(|i| msgs[i].as_slice());
-            let out4 = sha256_multi(&refs4);
-            for l in 0..4 {
-                assert_eq!(out4[l], sha256(&msgs[l]), "len={len} lane={l} (4-wide)");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn multi_rejects_ragged_lanes() {
-        sha256_multi(&[b"aa".as_slice(), b"a".as_slice()]);
     }
 }

@@ -27,7 +27,7 @@ pub use chain::{ChainError, ChainLedger};
 pub use dag::{DagLedger, DagNodeKind, LocalView};
 pub use exec::{execute, execute_and_apply, ExecResult, ExecStatus};
 pub use proof::{
-    prove_absent, prove_key, state_root, verify_absent, verify_key, verify_keys, AbsenceProof,
-    ProofBatch, StateProof,
+    prove_absent, prove_key, state_root, verify_absent, verify_key, AbsenceProof, ProofBatch,
+    StateProof,
 };
 pub use state::{StateStore, Version, WriteOp};

@@ -185,25 +185,6 @@ pub fn verify_key(root: &Hash, proof: &StateProof) -> bool {
     verify_inclusion(root, &entry_bytes(&proof.key, &proof.value), &proof.proof)
 }
 
-/// Batch-verifies many state proofs against one root.
-///
-/// The proofs' interior-node hashes are folded through the
-/// lane-interleaved SHA-256 kernel with lanes running *across proofs*
-/// ([`pbc_crypto::merkle::verify_inclusion_hash_batch`]) — the auditor's
-/// sampled-proof sweep pays one wide compression scan per tree level
-/// instead of one scalar walk per key. Returns `true` iff every proof
-/// verifies; accepts exactly the set [`verify_key`] accepts entry-wise,
-/// so callers needing the culprit re-check scalar-wise on `false`.
-pub fn verify_keys(root: &Hash, proofs: &[StateProof]) -> bool {
-    let leaves: Vec<Hash> = proofs
-        .iter()
-        .map(|p| pbc_crypto::merkle::leaf_hash(&entry_bytes(&p.key, &p.value)))
-        .collect();
-    let items: Vec<(Hash, &MerkleProof)> =
-        leaves.into_iter().zip(proofs.iter().map(|p| &p.proof)).collect();
-    pbc_crypto::merkle::verify_inclusion_hash_batch(root, &items)
-}
-
 /// Verifies an absence proof against a root.
 pub fn verify_absent(root: &Hash, proof: &AbsenceProof) -> bool {
     // Both bracketing proofs must verify individually…
@@ -258,25 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_key_verification_matches_scalar() {
-        for n in [1usize, 3, 8, 17, 33] {
-            let state = sample_state(n);
-            let batch = ProofBatch::new(&state);
-            let root = batch.root();
-            let proofs: Vec<StateProof> =
-                (0..n).map(|i| batch.prove_key(&format!("key{i:03}")).unwrap()).collect();
-            assert!(verify_keys(&root, &proofs), "n={n}");
-            // One tampered value poisons the batch, exactly like the
-            // scalar check would reject that entry.
-            let mut bad = proofs.clone();
-            bad[n / 2].value = balance_value(123_456);
-            assert!(!verify_key(&root, &bad[n / 2]));
-            assert!(!verify_keys(&root, &bad), "n={n}");
-        }
-        assert!(verify_keys(&Hash::ZERO, &[]), "empty batch is vacuously valid");
-    }
-
-    #[test]
     fn missing_key_has_no_proof() {
         let state = sample_state(4);
         assert!(prove_key(&state, "ghost").is_none());
@@ -289,6 +251,14 @@ mod tests {
         let mut proof = prove_key(&state, "key003").unwrap();
         proof.value = balance_value(999_999);
         assert!(!verify_key(&root, &proof));
+        // The middle key of trees with and without promoted odd nodes.
+        for n in [1usize, 3, 17, 33] {
+            let state = sample_state(n);
+            let mut proof = prove_key(&state, &format!("key{:03}", n / 2)).unwrap();
+            assert!(verify_key(&state_root(&state), &proof), "n={n}");
+            proof.value = balance_value(123_456);
+            assert!(!verify_key(&state_root(&state), &proof), "n={n}");
+        }
     }
 
     #[test]
@@ -314,6 +284,9 @@ mod tests {
     #[test]
     fn empty_state_root_is_zero() {
         assert_eq!(state_root(&StateStore::new()), Hash::ZERO);
+        // The empty root commits to nothing, so no proof verifies under it.
+        let proof = prove_key(&sample_state(1), "key000").unwrap();
+        assert!(!verify_key(&Hash::ZERO, &proof));
     }
 
     #[test]

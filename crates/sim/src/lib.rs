@@ -32,7 +32,6 @@ pub mod invariants;
 pub mod latency;
 pub mod nemesis;
 pub mod network;
-pub mod par;
 pub mod sched;
 pub mod stats;
 pub mod topology;
@@ -44,7 +43,6 @@ pub use invariants::{InvariantChecker, Violation};
 pub use latency::LatencyModel;
 pub use nemesis::{violation_report, Nemesis, NemesisConfig, NemesisOp};
 pub use network::{Network, NetworkConfig};
-pub use par::{ParNetwork, SimNet};
 pub use stats::NetStats;
 pub use topology::Topology;
 

@@ -21,31 +21,25 @@ pub struct NetworkConfig {
     pub seed: u64,
     /// Probability that any message is silently lost.
     pub drop_rate: f64,
-    /// Event-lane count for the multi-lane core ([`crate::ParNetwork`]).
-    /// The sequential [`Network`] ignores it; registry constructors use
-    /// it to pick the parallel core when `lanes > 1`. Digests are
-    /// lane-count-invariant, so this is a performance knob, not a
-    /// semantic one.
-    pub lanes: usize,
 }
 
 impl Default for NetworkConfig {
     fn default() -> Self {
-        NetworkConfig { latency: LatencyModel::lan(), seed: 0, drop_rate: 0.0, lanes: 1 }
+        NetworkConfig { latency: LatencyModel::lan(), seed: 0, drop_rate: 0.0 }
     }
 }
 
 /// An in-flight message body. Unicasts carry the value directly;
 /// broadcasts allocate once and every recipient's event shares the same
 /// allocation — the zero-copy fan-out path.
-pub(crate) enum Payload<M> {
+enum Payload<M> {
     Owned(M),
     Shared(Arc<M>),
 }
 
 impl<M> Payload<M> {
     #[inline]
-    pub(crate) fn get(&self) -> &M {
+    fn get(&self) -> &M {
         match self {
             Payload::Owned(m) => m,
             Payload::Shared(a) => a,
@@ -64,7 +58,7 @@ impl<M: Clone> Clone for Payload<M> {
     }
 }
 
-pub(crate) enum EventKind<M> {
+enum EventKind<M> {
     Deliver { from: NodeIdx, to: NodeIdx, msg: Payload<M>, sent_at: SimTime },
     // `incarnation` invalidates timers armed before a node lost its
     // memory: a rebuilt actor must not observe the ghost of a timer its
@@ -102,105 +96,18 @@ pub struct Network<A: Actor> {
 }
 
 /// The initial value of the delivery-trace digest fold.
-pub(crate) const TRACE_INIT: u64 = 0x9e3779b97f4a7c15;
+const TRACE_INIT: u64 = 0x9e3779b97f4a7c15;
 
 /// Folds one delivery record into a running trace digest. The exact
 /// mixing function is part of the determinism contract: the golden-trace
 /// tests commit digests produced by this fold, so it must never change
 /// silently.
-pub(crate) fn fold_trace(h: u64, at: SimTime, seq: u64, from: NodeIdx, to: NodeIdx) -> u64 {
+fn fold_trace(h: u64, at: SimTime, seq: u64, from: NodeIdx, to: NodeIdx) -> u64 {
     let mut z =
         at ^ seq.rotate_left(17) ^ (from as u64).rotate_left(34) ^ (to as u64).rotate_left(51);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     h.rotate_left(5) ^ (z ^ (z >> 31))
-}
-
-/// The serialized routing state one message send consumes: RNG, global
-/// sequence counter, stats, and the frozen fault/partition/latency
-/// views. Factored out of [`Network::route`] so the multi-lane core
-/// ([`crate::ParNetwork`]) commits sends through the **same** code path
-/// — fault-draw order, seq assignment, and accounting are defined once,
-/// which is what keeps golden digests identical across engines.
-pub(crate) struct RouteCtx<'a> {
-    pub rng: &'a mut StdRng,
-    pub seq: &'a mut u64,
-    pub stats: &'a mut NetStats,
-    pub faults: &'a FaultModel,
-    pub partition: Option<&'a [usize]>,
-    pub latency: &'a LatencyModel,
-    pub time: SimTime,
-}
-
-/// Routes one message over the `origin → to` link: fault draws, latency
-/// sampling, scheduling via `push(at, seq, event)`. Every probability
-/// draw is guarded by `> 0.0` so an all-healthy model consumes no
-/// randomness and seeded runs replay exactly.
-pub(crate) fn route_one<M: Clone>(
-    ctx: &mut RouteCtx<'_>,
-    origin: NodeIdx,
-    to: NodeIdx,
-    msg: Payload<M>,
-    wire: usize,
-    push: &mut impl FnMut(SimTime, u64, EventKind<M>),
-) {
-    ctx.stats.msgs_sent += 1;
-    ctx.stats.bytes_sent += wire as u64;
-    // Fault decisions are made at send time, per directed link.
-    let fault = *ctx.faults.link(origin, to);
-    let crossed_partition = match ctx.partition {
-        Some(p) => p[origin] != p[to],
-        None => false,
-    };
-    let dropped = crossed_partition || (fault.drop > 0.0 && ctx.rng.gen_bool(fault.drop));
-    if dropped {
-        ctx.stats.msgs_dropped += 1;
-        pbc_trace::emit(ctx.time, || TraceEvent::DropLink {
-            from: origin,
-            to,
-            partition: crossed_partition,
-        });
-        return;
-    }
-    let mut latency = ctx.latency.sample(origin, to, ctx.rng);
-    if fault.delay_spike > 0.0 && ctx.rng.gen_bool(fault.delay_spike) {
-        latency += fault.spike;
-        ctx.stats.delay_spikes += 1;
-        pbc_trace::emit(ctx.time, || TraceEvent::DelaySpike {
-            from: origin,
-            to,
-            spike: fault.spike,
-        });
-    }
-    if fault.reorder > 0.0 && ctx.rng.gen_bool(fault.reorder) {
-        // Up to double the sampled latency: later sends on the same
-        // link can now overtake this message.
-        latency += ctx.rng.gen_range(0..=latency);
-        ctx.stats.msgs_reordered += 1;
-        pbc_trace::emit(ctx.time, || TraceEvent::Reorder { from: origin, to });
-    }
-    if fault.duplicate > 0.0 && ctx.rng.gen_bool(fault.duplicate) {
-        let dup_latency = ctx.latency.sample(origin, to, ctx.rng).max(1);
-        // Duplicates the *handle*: for broadcast payloads this is an
-        // `Arc` refcount bump, not a message allocation.
-        let dup = Payload::clone(&msg);
-        *ctx.seq += 1;
-        push(
-            ctx.time + dup_latency,
-            *ctx.seq,
-            EventKind::Deliver { from: origin, to, msg: dup, sent_at: ctx.time },
-        );
-        ctx.stats.msgs_duplicated += 1;
-        ctx.stats.msgs_in_flight += 1;
-        pbc_trace::emit(ctx.time, || TraceEvent::Duplicate { from: origin, to });
-    }
-    *ctx.seq += 1;
-    push(
-        ctx.time + latency,
-        *ctx.seq,
-        EventKind::Deliver { from: origin, to, msg, sent_at: ctx.time },
-    );
-    ctx.stats.msgs_in_flight += 1;
 }
 
 impl<A: Actor> Network<A> {
@@ -499,19 +406,67 @@ impl<A: Actor> Network<A> {
     /// Routes one message over the `origin → to` link: fault draws,
     /// latency sampling, scheduling. Identical decision order for
     /// unicasts and each recipient of a broadcast, so seeded runs replay
-    /// bit-for-bit regardless of how the payload is carried.
+    /// bit-for-bit regardless of how the payload is carried. Every
+    /// probability draw is guarded by `> 0.0` so an all-healthy model
+    /// consumes no randomness.
     fn route(&mut self, origin: NodeIdx, to: NodeIdx, msg: Payload<A::Msg>, wire: usize) {
-        let mut ctx = RouteCtx {
-            rng: &mut self.rng,
-            seq: &mut self.seq,
-            stats: &mut self.stats,
-            faults: &self.faults,
-            partition: self.partition.as_deref(),
-            latency: &self.config.latency,
-            time: self.time,
+        self.stats.msgs_sent += 1;
+        self.stats.bytes_sent += wire as u64;
+        // Fault decisions are made at send time, per directed link.
+        let fault = *self.faults.link(origin, to);
+        let crossed_partition = match &self.partition {
+            Some(p) => p[origin] != p[to],
+            None => false,
         };
-        let queue = &mut self.queue;
-        route_one(&mut ctx, origin, to, msg, wire, &mut |at, seq, ev| queue.push(at, seq, ev));
+        let dropped = crossed_partition || (fault.drop > 0.0 && self.rng.gen_bool(fault.drop));
+        if dropped {
+            self.stats.msgs_dropped += 1;
+            pbc_trace::emit(self.time, || TraceEvent::DropLink {
+                from: origin,
+                to,
+                partition: crossed_partition,
+            });
+            return;
+        }
+        let mut latency = self.config.latency.sample(origin, to, &mut self.rng);
+        if fault.delay_spike > 0.0 && self.rng.gen_bool(fault.delay_spike) {
+            latency += fault.spike;
+            self.stats.delay_spikes += 1;
+            pbc_trace::emit(self.time, || TraceEvent::DelaySpike {
+                from: origin,
+                to,
+                spike: fault.spike,
+            });
+        }
+        if fault.reorder > 0.0 && self.rng.gen_bool(fault.reorder) {
+            // Up to double the sampled latency: later sends on the same
+            // link can now overtake this message.
+            latency += self.rng.gen_range(0..=latency);
+            self.stats.msgs_reordered += 1;
+            pbc_trace::emit(self.time, || TraceEvent::Reorder { from: origin, to });
+        }
+        if fault.duplicate > 0.0 && self.rng.gen_bool(fault.duplicate) {
+            let dup_latency = self.config.latency.sample(origin, to, &mut self.rng).max(1);
+            // Duplicates the *handle*: for broadcast payloads this is an
+            // `Arc` refcount bump, not a message allocation.
+            let dup = Payload::clone(&msg);
+            self.seq += 1;
+            self.queue.push(
+                self.time + dup_latency,
+                self.seq,
+                EventKind::Deliver { from: origin, to, msg: dup, sent_at: self.time },
+            );
+            self.stats.msgs_duplicated += 1;
+            self.stats.msgs_in_flight += 1;
+            pbc_trace::emit(self.time, || TraceEvent::Duplicate { from: origin, to });
+        }
+        self.seq += 1;
+        self.queue.push(
+            self.time + latency,
+            self.seq,
+            EventKind::Deliver { from: origin, to, msg, sent_at: self.time },
+        );
+        self.stats.msgs_in_flight += 1;
     }
 
     fn apply_effects(&mut self, origin: NodeIdx, ctx: &mut Context<A::Msg>) {

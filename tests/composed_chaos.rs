@@ -111,16 +111,13 @@ fn hotstuff_composed_stack_survives_nemesis_schedule() {
     chaos_schedule(ConsensusKind::HotStuff, 53);
 }
 
-/// The full gauntlet on the **multi-lane parallel core**: durable
-/// replicas (real fault-injecting stores) under a seeded nemesis
-/// schedule that includes amnesia crashes and disk faults (failed
-/// fsyncs, torn WAL tails, bit rot), with the cluster built at
-/// `lanes > 1` so every window executes across worker threads. Safety,
-/// healed progress, the cold ledger and the differential audit must all
-/// stay green — parallelism is a performance knob, not a new fault
-/// model, even when the nemesis is hitting the disks underneath it.
+/// The full gauntlet: durable replicas (real fault-injecting stores)
+/// under a seeded nemesis schedule that includes amnesia crashes and
+/// disk faults (failed fsyncs, torn WAL tails, bit rot). Safety, healed
+/// progress, the cold ledger and the differential audit must all stay
+/// green while the nemesis is hitting the disks underneath the stack.
 #[test]
-fn composed_chaos_with_disk_faults_stays_green_under_lanes() {
+fn composed_chaos_with_disk_faults_stays_green() {
     let n = 4;
     let w = PaymentWorkload { accounts: 48, ..Default::default() };
     let stores = (0..n as u64)
@@ -137,7 +134,6 @@ fn composed_chaos_with_disk_faults_stays_green_under_lanes() {
         .initial_state(w.initial_state())
         .batch_size(4)
         .seed(0xC405)
-        .lanes(3)
         .durable(stores)
         .with_audit()
         .build();
@@ -150,8 +146,8 @@ fn composed_chaos_with_disk_faults_stays_green_under_lanes() {
         chain.submit_all(w.generate(1000 + step as u64 * 100, 4));
         batches += 1;
         let r = chain.run_to_completion();
-        assert!(!r.diverged, "lanes step {step} ({}): heads forked", op.label());
-        assert_agreement(&chain, &format!("lanes step {step} ({})", op.label()));
+        assert!(!r.diverged, "step {step} ({}): heads forked", op.label());
+        assert_agreement(&chain, &format!("step {step} ({})", op.label()));
     }
 
     // Restart any straggler through the nemesis path (amnesiac nodes
@@ -165,15 +161,15 @@ fn composed_chaos_with_disk_faults_stays_green_under_lanes() {
     chain.submit_all(w.generate(9000, 4));
     batches += 1;
     let r = chain.run_to_completion();
-    assert!(!r.diverged, "lanes: healed heads forked");
-    assert_agreement(&chain, "lanes final");
+    assert!(!r.diverged, "healed heads forked");
+    assert_agreement(&chain, "final");
     let max_decided = chain.decided_views().iter().map(|v| v.len()).max().unwrap();
-    assert_eq!(max_decided, batches, "lanes: healed stack must decide the backlog");
+    assert_eq!(max_decided, batches, "healed stack must decide the backlog");
 
     // The differential auditor replays every committed height clean...
-    let audit = pbc_audit::audit_network(&chain)
-        .unwrap_or_else(|e| panic!("lanes: post-chaos audit failed: {e}"));
-    assert!(audit.heights_checked > 0, "lanes: audit covered nothing");
+    let audit =
+        pbc_audit::audit_network(&chain).unwrap_or_else(|e| panic!("post-chaos audit failed: {e}"));
+    assert!(audit.heights_checked > 0, "audit covered nothing");
     // ...and whatever survived on the (faulted) disks never contradicts
     // the decided history.
     chain.persist();
@@ -181,7 +177,7 @@ fn composed_chaos_with_disk_faults_stays_green_under_lanes() {
         assert_eq!(
             chain.verify_cold_ledger(node),
             Some(true),
-            "lanes: node {node} cold ledger contradicts decided history"
+            "node {node} cold ledger contradicts decided history"
         );
     }
 }

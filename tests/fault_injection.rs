@@ -17,10 +17,8 @@ fn pbft_cluster(n: usize, seed: u64) -> Network<PbftReplica<u64>> {
 fn raft_cluster(n: usize, seed: u64, drop_rate: f64) -> Network<RaftNode<u64>> {
     let cfg = RaftConfig::new(n);
     let actors = (0..n).map(|i| RaftNode::new(cfg.clone(), i)).collect();
-    let mut net = Network::new(
-        actors,
-        NetworkConfig { seed, drop_rate, latency: LatencyModel::lan(), lanes: 1 },
-    );
+    let mut net =
+        Network::new(actors, NetworkConfig { seed, drop_rate, latency: LatencyModel::lan() });
     net.start();
     net
 }

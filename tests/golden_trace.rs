@@ -23,7 +23,7 @@
 use pbc_consensus::pbft::{PbftConfig, PbftMsg, PbftReplica};
 use pbc_consensus::raft::{RaftConfig, RaftMsg, RaftNode, Role};
 use pbc_sim::fault::{FaultModel, LinkFault};
-use pbc_sim::{Network, NetworkConfig, ParNetwork, SimNet};
+use pbc_sim::{Network, NetworkConfig};
 
 /// PBFT, 4 replicas, healthy LAN: captured from the pre-timer-wheel
 /// scheduler (PR 2). Pins the fault-free hot path: broadcast fan-out
@@ -49,17 +49,8 @@ fn pbft_net(n: usize, seed: u64) -> Network<PbftReplica<u64>> {
     net
 }
 
-fn pbft_par(n: usize, seed: u64, lanes: usize) -> ParNetwork<PbftReplica<u64>> {
-    let mut net =
-        ParNetwork::new(pbft_actors(n), NetworkConfig { seed, lanes, ..Default::default() });
-    net.start();
-    net
-}
-
-/// The healthy-path scenario on any engine, returning the schedule
-/// digest. The scenarios are generic over [`SimNet`] so the exact same
-/// driving code pins both the sequential and the multi-lane engine.
-fn pbft_healthy_on<N: SimNet<PbftReplica<u64>>>(mut net: N) -> u64 {
+/// The healthy-path scenario, returning the schedule digest.
+fn pbft_healthy_on(mut net: Network<PbftReplica<u64>>) -> u64 {
     for i in 0..10u64 {
         net.inject(0, 0, PbftMsg::Request(100 + i), 1 + i);
     }
@@ -75,8 +66,8 @@ fn pbft_healthy_digest() -> u64 {
     pbft_healthy_on(pbft_net(4, 0xB117))
 }
 
-/// The faulty-links scenario on any engine, returning the digest.
-fn pbft_faults_on<N: SimNet<PbftReplica<u64>>>(mut net: N) -> u64 {
+/// The faulty-links scenario, returning the digest.
+fn pbft_faults_on(mut net: Network<PbftReplica<u64>>) -> u64 {
     net.set_fault_model(FaultModel::uniform(LinkFault {
         drop: 0.02,
         duplicate: 0.03,
@@ -107,8 +98,8 @@ fn raft_actors(n: usize) -> Vec<RaftNode<u64>> {
     (0..n).map(|i| RaftNode::<u64>::new(RaftConfig::new(n), i)).collect()
 }
 
-/// The Raft leader-crash scenario on any engine, returning the digest.
-fn raft_crash_on<N: SimNet<RaftNode<u64>>>(mut net: N) -> u64 {
+/// The Raft leader-crash scenario, returning the digest.
+fn raft_crash_on(mut net: Network<RaftNode<u64>>) -> u64 {
     let n = net.len();
     for i in 0..6u64 {
         net.inject(0, (i % n as u64) as usize, RaftMsg::Request(900 + i), 1 + i * 5);
@@ -161,42 +152,6 @@ fn raft_crash_trace_matches_golden() {
         "Raft crash-path delivery order diverged from the golden trace \
          (digest {digest:#018x})"
     );
-}
-
-/// The tentpole contract of the multi-lane core: the **parallel** engine
-/// reproduces every pinned golden digest bit-for-bit at any lane count.
-/// Lanes split the event queues and run handlers on worker threads, but
-/// the conservative-window merge must keep RNG draw order, seq
-/// assignment and the delivery fold exactly as the sequential scheduler
-/// made them — otherwise every seeded experiment forks the moment
-/// someone turns parallelism on.
-#[test]
-fn golden_traces_reproduce_at_every_lane_count() {
-    for lanes in [1usize, 2, 8] {
-        let digest = pbft_healthy_on(pbft_par(4, 0xB117, lanes));
-        assert_eq!(
-            digest, GOLDEN_PBFT_HEALTHY,
-            "PBFT healthy-path diverged on the parallel engine at lanes={lanes} \
-             (digest {digest:#018x})"
-        );
-        let digest = pbft_faults_on(pbft_par(7, 0x5EED_F417, lanes));
-        assert_eq!(
-            digest, GOLDEN_PBFT_FAULTS,
-            "PBFT faulty-link diverged on the parallel engine at lanes={lanes} \
-             (digest {digest:#018x})"
-        );
-        let mut net = ParNetwork::new(
-            raft_actors(5),
-            NetworkConfig { seed: 0xC0FFEE, lanes, ..Default::default() },
-        );
-        net.start();
-        let digest = raft_crash_on(net);
-        assert_eq!(
-            digest, GOLDEN_RAFT_CRASH,
-            "Raft crash-path diverged on the parallel engine at lanes={lanes} \
-             (digest {digest:#018x})"
-        );
-    }
 }
 
 /// The digest itself is reproducible: two identical runs fold to the

@@ -1,6 +1,5 @@
 //! End-to-end client-path tests: golden determinism of seeded ingress
-//! runs (including across simulator engines) and queue conservation
-//! under chaos.
+//! runs and queue conservation under chaos.
 //!
 //! The conservation identity under test everywhere:
 //! `admitted = committed + aborted + expired + in_flight`.
@@ -15,14 +14,13 @@ fn workload() -> PaymentWorkload {
     PaymentWorkload { accounts: 64, theta: 0.5, ..Default::default() }
 }
 
-fn chain(consensus: ConsensusKind, arch: ArchKind, lanes: usize, seed: u64) -> BlockchainNetwork {
+fn chain(consensus: ConsensusKind, arch: ArchKind, seed: u64) -> BlockchainNetwork {
     NetworkBuilder::new(consensus.min_nodes())
         .consensus(consensus)
         .architecture(arch)
         .initial_state(workload().initial_state())
         .batch_size(8)
         .seed(seed)
-        .lanes(lanes)
         .build()
 }
 
@@ -34,8 +32,8 @@ fn small_cfg() -> IngressConfig {
     IngressConfig { horizon: 200_000, ..Default::default() }
 }
 
-fn run_open(lanes: usize) -> (IngressReport, u64, Option<pbc_crypto::Hash>) {
-    let mut net = chain(ConsensusKind::Pbft, ArchKind::Ox, lanes, 7);
+fn run_open() -> (IngressReport, u64, Option<pbc_crypto::Hash>) {
+    let mut net = chain(ConsensusKind::Pbft, ArchKind::Ox, 7);
     let mut load = open_load(7, 1_500);
     let mut queue = IngressQueue::new(QueueConfig { capacity: 256, ttl: 150_000 });
     let report = net.run_ingress(&mut load, &mut queue, &small_cfg());
@@ -45,8 +43,8 @@ fn run_open(lanes: usize) -> (IngressReport, u64, Option<pbc_crypto::Hash>) {
 
 #[test]
 fn open_loop_seeded_run_is_bit_for_bit_deterministic() {
-    let (r1, d1, h1) = run_open(1);
-    let (r2, d2, h2) = run_open(1);
+    let (r1, d1, h1) = run_open();
+    let (r2, d2, h2) = run_open();
     assert!(r1.queue.committed > 0, "run committed nothing: {:?}", r1.queue);
     assert!(r1.consensus_complete);
     assert_eq!(d1, d2, "trace digests differ between identical seeded runs");
@@ -58,21 +56,8 @@ fn open_loop_seeded_run_is_bit_for_bit_deterministic() {
 }
 
 #[test]
-fn open_loop_golden_under_two_lanes() {
-    // The lane count is a performance knob, not a semantic one: the
-    // ingress path must produce the same trace digest, queue counters,
-    // and ledger head on the parallel engine.
-    let (r1, d1, h1) = run_open(1);
-    let (r2, d2, h2) = run_open(2);
-    assert_eq!(d1, d2, "lanes(2) changed the delivery trace");
-    assert_eq!(h1, h2, "lanes(2) changed the ledger head");
-    assert_eq!(r1.queue, r2.queue, "lanes(2) changed queue accounting");
-    assert_eq!(r1.elapsed, r2.elapsed, "lanes(2) changed the timeline");
-}
-
-#[test]
 fn open_loop_conserves_and_stamps_latency() {
-    let (report, _, _) = run_open(1);
+    let (report, _, _) = run_open();
     assert!(report.conserves(), "identity broken: {:?}", report.queue);
     assert_eq!(report.in_flight_at_end, 0, "drain left work in flight");
     assert!(report.mean_latency > 0.0);
@@ -82,7 +67,7 @@ fn open_loop_conserves_and_stamps_latency() {
 
 #[test]
 fn closed_loop_self_throttles_and_conserves() {
-    let mut net = chain(ConsensusKind::HotStuff, ArchKind::Oxii, 1, 11);
+    let mut net = chain(ConsensusKind::HotStuff, ArchKind::Oxii, 11);
     let mut load = LoadGen::new(
         WorkloadSource::payments(workload()),
         LoadProfile::Closed { clients: 16, think: 4_000 },
@@ -102,7 +87,7 @@ fn overload_sheds_with_backpressure_and_ttl() {
     // Offered rate far beyond capacity: a tiny queue with a short TTL
     // must shed load via Full rejections and expiries while keeping
     // the books balanced.
-    let mut net = chain(ConsensusKind::Pbft, ArchKind::Ox, 1, 3);
+    let mut net = chain(ConsensusKind::Pbft, ArchKind::Ox, 3);
     let mut load = open_load(3, 8); // ~125k tx/s offered
     let mut queue = IngressQueue::new(QueueConfig { capacity: 24, ttl: 6_000 });
     let cfg = IngressConfig { horizon: 120_000, max_inflight_batches: 2, ..Default::default() };
@@ -125,7 +110,7 @@ fn chaos_crash_and_recover_keeps_identity() {
     // One replica crashes between ingress waves and later rejoins:
     // PBFT n=4 keeps deciding, the queue books stay balanced at every
     // boundary, and nothing commits twice.
-    let mut net = chain(ConsensusKind::Pbft, ArchKind::Ox, 1, 19);
+    let mut net = chain(ConsensusKind::Pbft, ArchKind::Ox, 19);
     let mut load = open_load(19, 2_000);
     let mut queue = IngressQueue::new(QueueConfig { capacity: 256, ttl: 150_000 });
     let cfg = IngressConfig { horizon: 120_000, ..Default::default() };
@@ -152,7 +137,7 @@ fn chaos_crash_and_recover_keeps_identity() {
 fn dead_majority_stalls_but_books_stay_balanced() {
     // With 2 of 4 replicas down PBFT cannot decide; admitted work ends
     // the run in flight (or expired) — never silently lost.
-    let mut net = chain(ConsensusKind::Pbft, ArchKind::Ox, 1, 23);
+    let mut net = chain(ConsensusKind::Pbft, ArchKind::Ox, 23);
     let mut load = open_load(23, 3_000);
     let mut queue = IngressQueue::new(QueueConfig { capacity: 64, ttl: 80_000 });
     net.crash(2);

@@ -72,25 +72,6 @@ proptest! {
 // ---------- batched crypto kernels vs scalar reference ----------
 
 proptest! {
-    /// The lane-interleaved SHA-256 kernel is bit-for-bit the scalar
-    /// hash at 8 and 4 lanes, across random contents and every padding
-    /// shape the random length lands on.
-    #[test]
-    fn sha256_multi_equals_scalar(base in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let lanes: Vec<Vec<u8>> =
-            (0..8u8).map(|l| base.iter().map(|b| b ^ l.wrapping_mul(0x1d)).collect()).collect();
-        let refs8: [&[u8]; 8] = std::array::from_fn(|i| lanes[i].as_slice());
-        let got8 = pbc_crypto::sha256_multi(&refs8);
-        for (l, lane) in lanes.iter().enumerate() {
-            prop_assert_eq!(got8[l], sha256(lane), "8-wide lane {}", l);
-        }
-        let refs4: [&[u8]; 4] = std::array::from_fn(|i| lanes[i].as_slice());
-        let got4 = pbc_crypto::sha256_multi(&refs4);
-        for l in 0..4 {
-            prop_assert_eq!(got4[l], sha256(&lanes[l]), "4-wide lane {}", l);
-        }
-    }
-
     /// Straus interleaved multi-exponentiation equals the product of
     /// independent `pow`s for every batch size, including empty.
     #[test]
