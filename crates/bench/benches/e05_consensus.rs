@@ -12,16 +12,6 @@ use pbc_bench::header;
 use pbc_core::{ArchKind, ConsensusKind, NetworkBuilder};
 use pbc_workload::PaymentWorkload;
 
-const KINDS: [ConsensusKind; 7] = [
-    ConsensusKind::Pbft,
-    ConsensusKind::Ibft,
-    ConsensusKind::HotStuff,
-    ConsensusKind::Tendermint,
-    ConsensusKind::Raft,
-    ConsensusKind::Paxos,
-    ConsensusKind::MinBft,
-];
-
 fn run_once(kind: ConsensusKind, n: usize, txs: usize) -> pbc_core::RunReport {
     let w = PaymentWorkload { accounts: 128, ..Default::default() };
     let mut chain = NetworkBuilder::new(n)
@@ -45,7 +35,7 @@ fn series() {
         "protocol", "n", "blocks", "msgs", "bytes", "decide-latency"
     );
     for n in [4usize, 7] {
-        for kind in KINDS {
+        for kind in ConsensusKind::ALL {
             let nodes = if kind == ConsensusKind::MinBft && n == 4 { 3 } else { n };
             let report = run_once(kind, nodes, 32);
             assert!(report.consensus_complete, "{kind:?} n={nodes}");
@@ -74,7 +64,7 @@ fn bench(c: &mut Criterion) {
     series();
     let mut group = c.benchmark_group("e05_consensus");
     group.sample_size(10);
-    for kind in KINDS {
+    for kind in ConsensusKind::ALL {
         let n = if kind == ConsensusKind::MinBft { 3 } else { 4 };
         group.bench_with_input(
             BenchmarkId::new("decide_32_txs", format!("{kind:?}")),

@@ -1,7 +1,7 @@
 //! E12 — simulator core throughput.
 //!
 //! Measures the event loop itself rather than any protocol property:
-//! consensus event streams (all six protocols at n ∈ {4, 16, 32, 64};
+//! consensus event streams (every registered protocol at n ∈ {4, 16, 32, 64};
 //! PBFT at 32 is the benchmark's `order-pbft32-ox` cluster),
 //! pure broadcast fan-out, and the timer-heavy chaos workload from the
 //! nemesis suite. These are the paths the PR 2 scheduler overhaul
@@ -26,11 +26,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pbc_arch::pipeline::{seal_block, spin};
 use pbc_arch::{BlockSeal, ExecutionPipeline, OxiiPipeline};
 use pbc_bench::persist::{persist_at, Disk};
-use pbc_bench::simcore::{
-    broadcast_flood, cancel_churn, chaos_run, chaos_storm, consensus_run, Proto,
-};
+use pbc_bench::simcore::{broadcast_flood, cancel_churn, chaos_run, chaos_storm, consensus_run};
 use pbc_bench::{fmt_u64, header};
-use pbc_consensus::Payload;
+use pbc_consensus::{ConsensusKind, Payload};
 use pbc_core::Batch;
 use pbc_ledger::ChainLedger;
 use pbc_sim::NetworkConfig;
@@ -52,18 +50,18 @@ fn bench_consensus(c: &mut Criterion) {
     let (requests, samples) = if smoke() { (5, 1) } else { (30, 10) };
     let mut g = c.benchmark_group("e12_consensus");
     g.sample_size(samples);
-    for proto in Proto::ALL {
+    for proto in ConsensusKind::ALL {
         for n in [4usize, 16, 32, 64] {
             let stats = consensus_run(proto, n, 0xBA5E, requests);
-            assert_eq!(stats.decided, requests, "{} n={n} must decide", proto.name());
+            assert_eq!(stats.decided, requests, "{} n={n} must decide", proto.registry_name());
             println!(
                 "   {}/n{n}: {} events, {} timers set, {} cancelled",
-                proto.name(),
+                proto.registry_name(),
                 fmt_u64(stats.events),
                 fmt_u64(stats.net.timers_set),
                 fmt_u64(stats.net.timers_cancelled)
             );
-            g.bench_with_input(BenchmarkId::new(proto.name(), n), &n, |b, &n| {
+            g.bench_with_input(BenchmarkId::new(proto.registry_name(), n), &n, |b, &n| {
                 b.iter(|| consensus_run(proto, n, 0xBA5E, requests))
             });
         }

@@ -62,10 +62,9 @@
 //! mispredict/abort/out-of-gas curves into `BENCH_VM.json`. `VM_SMOKE=1`
 //! shrinks the ladder for CI.
 
-use pbc_bench::simcore::{
-    broadcast_flood, cancel_churn, chaos_run, chaos_storm, consensus_run, Proto,
-};
+use pbc_bench::simcore::{broadcast_flood, cancel_churn, chaos_run, chaos_storm, consensus_run};
 use pbc_consensus::pbft::{PbftConfig, PbftMsg, PbftReplica};
+use pbc_consensus::ConsensusKind;
 use pbc_sim::{Network, NetworkConfig};
 use std::time::Instant;
 
@@ -91,13 +90,13 @@ fn baseline(out_path: &str) {
     let reps = 2;
 
     let mut consensus_rows = Vec::new();
-    for proto in [Proto::Pbft, Proto::HotStuff, Proto::Raft] {
+    for proto in [ConsensusKind::Pbft, ConsensusKind::HotStuff, ConsensusKind::Raft] {
         for n in SIZES {
             let (stats, secs) = timed(reps, || consensus_run(proto, n, SEED, REQUESTS));
             assert!(
                 stats.decided >= REQUESTS,
                 "{} n={n} decided only {}/{REQUESTS} slots",
-                proto.name(),
+                proto.registry_name(),
                 stats.decided
             );
             let eps = stats.events as f64 / secs;
@@ -105,7 +104,7 @@ fn baseline(out_path: &str) {
             println!(
                 "consensus {:>8} n={n:<2} events={:>9} decided={:>3} {:>12.0} events/s {:>8.1} rounds/s \
                  (timers set/fired/cancelled {}/{}/{})",
-                proto.name(),
+                proto.registry_name(),
                 stats.events,
                 stats.decided,
                 eps,
@@ -117,7 +116,7 @@ fn baseline(out_path: &str) {
             consensus_rows.push(format!(
                 "    {{\"proto\": \"{}\", \"n\": {n}, \"events\": {}, \"decided\": {}, \
                  \"secs\": {:.6}, \"events_per_sec\": {:.0}, \"rounds_per_sec\": {:.2}}}",
-                proto.name(),
+                proto.registry_name(),
                 stats.events,
                 stats.decided,
                 secs,
@@ -206,14 +205,14 @@ fn metrics() {
     const REQUESTS: u64 = 30;
     const N: usize = 16;
     let mut msgs_per_commit = Vec::new();
-    for proto in Proto::ALL {
+    for proto in ConsensusKind::ALL {
         // Fresh sink per protocol so delivery counts (and therefore
         // msgs-per-commit) aren't polluted by the previous run.
         pbc_trace::install(pbc_trace::TraceSink::new(64 * 1024));
         let stats = consensus_run(proto, N, SEED, REQUESTS);
         let sink = pbc_trace::uninstall().expect("sink installed above");
         let reg = sink.metrics();
-        println!("=== {} n={N} seed={SEED:#x} requests={REQUESTS} ===", proto.name());
+        println!("=== {} n={N} seed={SEED:#x} requests={REQUESTS} ===", proto.registry_name());
         println!(
             "decided={} events={} trace_records={} (ring kept {})",
             stats.decided,
@@ -221,7 +220,12 @@ fn metrics() {
             sink.total(),
             sink.records().len()
         );
-        assert_eq!(stats.decided, REQUESTS, "{} n={N} must decide every request", proto.name());
+        assert_eq!(
+            stats.decided,
+            REQUESTS,
+            "{} n={N} must decide every request",
+            proto.registry_name()
+        );
         for label in reg.protocols() {
             let pm = reg.proto(label).expect("label from registry");
             println!(
@@ -237,15 +241,14 @@ fn metrics() {
             println!("    commit latency {}", pm.commit_latency.summary());
             println!("    round  latency {}", pm.round_latency.summary());
         }
-        msgs_per_commit.push((proto, reg.msgs_per_commit(proto.name())));
+        msgs_per_commit.push((proto.registry_name(), reg.msgs_per_commit(proto.registry_name())));
         println!();
     }
     // §2.3.3: all-to-all PBFT is quadratic in n, HotStuff's votes to the
     // leader linear, Raft's leader-to-followers replication linear with
     // one phase — so at n = 16 the three must order this way.
-    let of =
-        |p: Proto| msgs_per_commit.iter().find(|(q, _)| *q == p).expect("every protocol ran").1;
-    let (raft, hotstuff, pbft) = (of(Proto::Raft), of(Proto::HotStuff), of(Proto::Pbft));
+    let of = |p: &str| msgs_per_commit.iter().find(|(q, _)| *q == p).expect("every protocol ran").1;
+    let (raft, hotstuff, pbft) = (of("raft"), of("hotstuff"), of("pbft"));
     println!("msgs/commit at n={N}: raft {raft:.1} < hotstuff {hotstuff:.1} < pbft {pbft:.1}");
     assert!(
         raft < hotstuff && hotstuff < pbft,
@@ -346,7 +349,7 @@ fn audit_smoke() {
     use pbc_audit::harness::{
         padded_amnesia_schedule, volatile_raft_violation, NODES, PINNED_SEED,
     };
-    use pbc_core::{ArchKind, ConsensusKind, NetworkBuilder};
+    use pbc_core::{ArchKind, NetworkBuilder};
     use pbc_workload::PaymentWorkload;
 
     let t0 = Instant::now();
@@ -418,7 +421,7 @@ fn audit_smoke() {
 /// on a real WAL file — so CI proves the store's recovery story outside
 /// the simulated `FaultFs`.
 fn store_smoke(out_path: &str) {
-    use pbc_core::{ConsensusKind, NetworkBuilder};
+    use pbc_core::NetworkBuilder;
     use pbc_sim::NemesisOp;
     use pbc_store::{NodeStore, RealFs, StoreConfig};
     use pbc_workload::PaymentWorkload;

@@ -107,13 +107,13 @@ enum ClientMode {
 }
 
 fn run_proto(
-    proto: &'static str,
     kind: ConsensusKind,
     mode: ClientMode,
     seed: u64,
     n_batches: usize,
     latency_batches: usize,
 ) -> ProtoRow {
+    let proto = kind.registry_name();
     let workload = PaymentWorkload { accounts: 128, seed, ..Default::default() };
     let txs = workload.generate(0, n_batches * BATCH);
 
@@ -221,12 +221,12 @@ pub fn real_bench(out_path: &str) {
 
     let mut rows = Vec::new();
     let runs = [
-        ("pbft", ConsensusKind::Pbft, ClientMode::OpenLoop),
-        ("ibft", ConsensusKind::Ibft, ClientMode::ClosedLoop),
+        (ConsensusKind::Pbft, ClientMode::OpenLoop),
+        (ConsensusKind::Ibft, ClientMode::ClosedLoop),
     ];
-    for (proto, kind, mode) in runs {
-        let seed = 0x4EA1 ^ proto.len() as u64;
-        let row = run_proto(proto, kind, mode, seed, n_batches, latency_batches);
+    for (kind, mode) in runs {
+        let seed = 0x4EA1 ^ kind.registry_name().len() as u64;
+        let row = run_proto(kind, mode, seed, n_batches, latency_batches);
         println!(
             "{:>5}: {} batches ({} txs) over TCP in {:.3}s  {:>7.1} batches/s {:>9.0} txs/s  \
              frames={} bytes={} reconnects={} rejected={}  [sequence == sim, head == sim]\n       \

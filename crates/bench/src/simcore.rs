@@ -3,9 +3,9 @@
 //!
 //! Four workloads exercise the hot paths of the event loop:
 //!
-//! * **consensus** — any of six protocols ([`Proto`]) deciding a fixed
-//!   request load at a given n: the mixed Deliver/Timer stream every
-//!   experiment in the repo generates;
+//! * **consensus** — any registered protocol ([`ConsensusKind`])
+//!   deciding a fixed request load at a given n: the mixed
+//!   Deliver/Timer stream every experiment in the repo generates;
 //! * **broadcast flood** — a single node broadcasting on a tick timer:
 //!   isolates the fan-out path (one send expanding to n deliveries);
 //! * **chaos storm** — every node broadcasting under lossy, duplicating,
@@ -27,10 +27,11 @@
 //! of the sink.
 //!
 //! ```
-//! use pbc_bench::simcore::{consensus_run, Proto};
+//! use pbc_bench::simcore::consensus_run;
+//! use pbc_consensus::ConsensusKind;
 //!
 //! pbc_trace::install(pbc_trace::TraceSink::new(4096));
-//! let stats = consensus_run(Proto::Pbft, 4, 0xBA5E, 5);
+//! let stats = consensus_run(ConsensusKind::Pbft, 4, 0xBA5E, 5);
 //! let sink = pbc_trace::uninstall().expect("installed above");
 //!
 //! assert_eq!(stats.decided, 5);
@@ -40,51 +41,11 @@
 //! println!("commit latency {}", pbft.commit_latency.summary());
 //! ```
 
-use pbc_consensus::hotstuff::{HotStuffConfig, HotStuffReplica};
-use pbc_consensus::minbft::{MinBftConfig, MinBftReplica};
-use pbc_consensus::paxos::{PaxosConfig, PaxosNode};
-use pbc_consensus::pbft::{PbftConfig, PbftReplica};
 use pbc_consensus::raft::{RaftConfig, RaftMsg, RaftNode, Role};
-use pbc_consensus::tendermint::{TendermintConfig, TendermintNode};
-use pbc_consensus::OrderingActor;
+use pbc_consensus::{cluster, ConsensusKind, OrderingCluster};
 use pbc_sim::{
     Actor, Context, FaultModel, LinkFault, Message, NetStats, Network, NetworkConfig, NodeIdx,
 };
-
-/// Which consensus protocol a [`consensus_run`] drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Proto {
-    /// Classic PBFT (fixed leader per view).
-    Pbft,
-    /// Chained HotStuff.
-    HotStuff,
-    /// Raft.
-    Raft,
-    /// Tendermint with equal voting powers.
-    Tendermint,
-    /// MinBFT (`n = 2f + 1` with trusted counters).
-    MinBft,
-    /// Multi-decree Paxos.
-    Paxos,
-}
-
-impl Proto {
-    /// Every protocol, in bench-row order.
-    pub const ALL: [Proto; 6] =
-        [Proto::Pbft, Proto::HotStuff, Proto::Raft, Proto::Tendermint, Proto::MinBft, Proto::Paxos];
-
-    /// Display name used in bench labels and the JSON snapshot.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Proto::Pbft => "pbft",
-            Proto::HotStuff => "hotstuff",
-            Proto::Raft => "raft",
-            Proto::Tendermint => "tendermint",
-            Proto::MinBft => "minbft",
-            Proto::Paxos => "paxos",
-        }
-    }
-}
 
 /// What one workload run processed (the "work" side of events/sec).
 #[derive(Clone, Debug)]
@@ -104,67 +65,27 @@ pub struct RunStats {
 /// protocol finishes deciding [`consensus_run`]'s request load first.
 const CONSENSUS_EVENT_CAP: u64 = 20_000_000;
 
-/// Drives `proto` at cluster size `n` until `requests` slots are
-/// decided everywhere (or the event cap trips), returning the work done.
-pub fn consensus_run(proto: Proto, n: usize, seed: u64, requests: u64) -> RunStats {
-    let ids = 0..n;
-    match proto {
-        Proto::Pbft => {
-            let cfg = PbftConfig::new(n);
-            decide(ids.map(|_| PbftReplica::<u64>::new(cfg.clone())).collect(), seed, requests, 1)
-        }
-        Proto::HotStuff => {
-            let cfg = HotStuffConfig::new(n);
-            let actors = ids.map(|_| HotStuffReplica::<u64>::new(cfg.clone())).collect();
-            decide(actors, seed, requests, 1)
-        }
-        Proto::Raft => {
-            let cfg = RaftConfig::new(n);
-            // Stagger past the first election so requests find a leader.
-            decide(ids.map(|i| RaftNode::<u64>::new(cfg.clone(), i)).collect(), seed, requests, 97)
-        }
-        Proto::Tendermint => {
-            let cfg = TendermintConfig::equal(n);
-            let actors = ids.map(|_| TendermintNode::<u64>::new(cfg.clone())).collect();
-            decide(actors, seed, requests, 1)
-        }
-        Proto::MinBft => {
-            let cfg = MinBftConfig::new(n);
-            let actors = ids.map(|i| MinBftReplica::<u64>::new(cfg.clone(), i)).collect();
-            decide(actors, seed, requests, 1)
-        }
-        Proto::Paxos => {
-            let cfg = PaxosConfig::new(n);
-            decide(ids.map(|i| PaxosNode::<u64>::new(cfg.clone(), i)).collect(), seed, requests, 1)
-        }
-    }
-}
-
-/// Sends request `i` (payload `1000 + i`) to every node at tick
-/// `1 + i * spacing`, then steps until every node decided `requests`
-/// slots or the event cap trips.
-fn decide<A>(actors: Vec<A>, seed: u64, requests: u64, spacing: u64) -> RunStats
-where
-    A: OrderingActor<Payload = u64>,
-{
-    let mut net = Network::new(actors, NetworkConfig { seed, ..Default::default() });
-    net.start();
+/// Drives `kind` at cluster size `n` until `requests` slots are decided
+/// everywhere (or the event cap trips), returning the work done. Request
+/// `i` (payload `1000 + i`) reaches every node at tick `1 + i * spacing`.
+pub fn consensus_run(kind: ConsensusKind, n: usize, seed: u64, requests: u64) -> RunStats {
+    let cfg = NetworkConfig { seed, ..Default::default() };
+    let mut c = cluster::<u64>(kind.registry_name(), n, cfg).expect("registered protocol");
+    // Stagger Raft past its first election so requests find a leader.
+    let spacing = if kind == ConsensusKind::Raft { 97 } else { 1 };
     for i in 0..requests {
-        for node in 0..net.len() {
-            net.inject(0, node, A::request_msg(1000 + i), 1 + i * spacing);
-        }
+        c.submit_at(1000 + i, 1 + i * spacing);
     }
-    let progress = |net: &Network<A>| {
-        (0..net.len()).map(|i| net.actor(i).log().len() as u64).min().unwrap_or(0)
-    };
+    let progress =
+        |c: &dyn OrderingCluster<u64>| (0..n).map(|i| c.decided_len(i) as u64).min().unwrap_or(0);
     let mut events = 0u64;
-    while events < CONSENSUS_EVENT_CAP && progress(&net) < requests {
-        if !net.step() {
+    while events < CONSENSUS_EVENT_CAP && progress(&*c) < requests {
+        if !c.step() {
             break;
         }
         events += 1;
     }
-    RunStats { events, decided: progress(&net), sim_now: net.now(), net: net.stats().clone() }
+    RunStats { events, decided: progress(&*c), sim_now: c.now(), net: c.stats().clone() }
 }
 
 /// A node that broadcasts a token every tick, `rounds` times; everyone

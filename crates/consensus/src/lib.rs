@@ -33,8 +33,7 @@ pub mod tendermint;
 pub mod wire;
 
 pub use common::{DecidedLog, Payload, PersistPayload};
-pub use ordering::{cluster, cluster_with, protocol_info, OrderingActor, OrderingCluster};
-pub use ordering::{durable_cluster_with, DurableNet};
+pub use ordering::{cluster, cluster_with, ConsensusKind, OrderingActor, OrderingCluster};
+pub use ordering::{durable_cluster_with, DurableNet, OverNetwork};
 pub use ordering::{run_real, RealRuntime};
-pub use ordering::{ProtocolInfo, PROTOCOLS};
 pub use wire::WireMsg;

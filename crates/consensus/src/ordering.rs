@@ -1,4 +1,4 @@
-//! The generic ordering layer: one trait, one registry, any protocol.
+//! The generic ordering layer: one trait, one table, any protocol.
 //!
 //! The paper's design space is a cross-product — ordering (§2.2, §2.3.3)
 //! × execution architecture (§2.3.3) × sharding (§2.3.4) — so the
@@ -11,21 +11,24 @@
 //!   and where its in-order [`DecidedLog`] lives. All six protocols
 //!   (PBFT/IBFT, HotStuff, Tendermint, Raft, Paxos, MinBFT) implement
 //!   it, as does the Byzantine [`Adversary`] wrapper by delegation.
-//! * [`OrderingCluster`] — an object-safe view of a whole replica group
-//!   (`pbc_sim::Network<A>` implements it for every `A: OrderingActor`),
+//! * [`OrderingCluster`] — an object-safe view of a whole replica group,
 //!   with generic driving helpers: zero-copy request fan-in
 //!   ([`OrderingCluster::submit`]), [`OrderingCluster::run_until_decided`],
 //!   crash/partition/link-fault controls, and
-//!   [`OrderingCluster::apply_nemesis`] for chaos schedules.
+//!   [`OrderingCluster::apply_nemesis`] for chaos schedules. One impl
+//!   provides it for every [`OverNetwork`] group: a plain
+//!   `pbc_sim::Network<A>`, and a [`DurableNet`], which overrides only
+//!   what a disk changes.
 //!
-//! The [`cluster`] / [`cluster_with`] constructors replace per-protocol
-//! `match` arms everywhere else in the workspace: callers name a
-//! protocol (`"pbft"`, `"raft"`, …) and get a boxed cluster generic
-//! over any [`Payload`]. The mapping lives in one `ordering_registry!`
-//! invocation — adding a protocol is an [`OrderingActor`] impl plus one
-//! registry line.
+//! The protocol catalogue is one `ordering_registry!` table. Each line
+//! names a protocol once — its registry name, its [`ConsensusKind`]
+//! variant, whether it rotates the proposer, its minimum replica count,
+//! a replica factory, and whether it runs over TCP — and the table
+//! generates [`ConsensusKind`], [`cluster_with`], [`durable_cluster_with`]
+//! and [`run_real`] from it, all building replicas with the same
+//! factory. Adding a protocol is an [`OrderingActor`] impl plus one line.
 //!
-//! # Example: a new protocol in one impl + one registry line
+//! # Example: a new protocol in one impl
 //!
 //! A (toy) single-broadcast sequencer, made drivable by the whole
 //! generic stack with nothing but an [`OrderingActor`] impl:
@@ -65,7 +68,8 @@
 //! }
 //!
 //! // The whole integration: one trait impl. (For name-based lookup,
-//! // add one `"sequencer" => …` line to the `ordering_registry!` list.)
+//! // add one `Sequencer => "sequencer", …` line to the
+//! // `ordering_registry!` table.)
 //! impl OrderingActor for Sequencer {
 //!     type Payload = u64;
 //!     const PROTOCOL: &'static str = "sequencer";
@@ -97,7 +101,6 @@ use pbc_sim::fault::LinkFault;
 use pbc_sim::{Actor, Adversary, Attack, Durable, NemesisOp, NetStats, Network, NetworkConfig};
 use pbc_sim::{NodeIdx, SimTime};
 use pbc_store::{NodeStore, Recovery};
-use pbc_trace::TraceEvent;
 
 /// A consensus actor drivable by the generic ordering layer.
 ///
@@ -111,7 +114,9 @@ pub trait OrderingActor: Actor {
     /// What this actor agrees on.
     type Payload: Payload + 'static;
 
-    /// Registry / metrics label of the protocol.
+    /// Metrics label of the protocol (IBFT runs `PbftReplica`, so its
+    /// label is `"pbft"`; [`ConsensusKind::registry_name`] tells them
+    /// apart).
     const PROTOCOL: &'static str;
 
     /// Wraps a payload into the protocol's client-request message.
@@ -140,16 +145,16 @@ impl<A: OrderingActor> OrderingActor for Adversary<A> {
 /// An object-safe replica group running one ordering protocol.
 ///
 /// This is the single vtable point the rest of the workspace dispatches
-/// through: `pbc_sim::Network<A>` implements it for every
-/// `A: OrderingActor`, and the [`cluster`] registry hands it out boxed.
-/// Callers drive consensus ([`submit`](OrderingCluster::submit),
+/// through: every [`OverNetwork`] group implements it, and the
+/// [`cluster`] registry hands it out boxed. Callers drive consensus
+/// ([`submit`](OrderingCluster::submit),
 /// [`run_until_decided`](OrderingCluster::run_until_decided)), read
 /// decisions, and inject faults without knowing the protocol.
 pub trait OrderingCluster<P: Payload> {
     /// Number of replicas.
     fn len(&self) -> usize;
 
-    /// Protocol label (the registry name of the actor type).
+    /// Protocol label (the [`OrderingActor::PROTOCOL`] of the actors).
     fn protocol(&self) -> &'static str;
 
     /// Submits a payload for ordering: the client request fans in to
@@ -206,6 +211,25 @@ pub trait OrderingCluster<P: Payload> {
     /// Restores every link to default behaviour.
     fn heal_links(&mut self);
 
+    /// Applies one nemesis op to the group, so seeded chaos schedules
+    /// drive the composed stack through the same vtable as everything
+    /// else.
+    ///
+    /// # Panics
+    /// Panics on [`NemesisOp::CrashAmnesia`] unless the group owns real
+    /// stores ([`DurableNet`]): a plain group has no disk to recover
+    /// from. Generate plain-group schedules with `amnesia: false`.
+    fn apply_nemesis(&mut self, op: &NemesisOp);
+
+    /// Flushes every alive replica's durable state to its stable store.
+    /// A no-op for clusters without real stores.
+    fn persist(&mut self);
+
+    /// Re-reads replica `node`'s decided log **from disk** — reopening
+    /// its store cold and decoding what actually survived, bypassing all
+    /// in-memory state. `None` for clusters without real stores.
+    fn cold_decided(&mut self, node: NodeIdx) -> Option<Vec<(u64, P)>>;
+
     /// True if the group has no replicas.
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -234,128 +258,141 @@ pub trait OrderingCluster<P: Payload> {
             events += 1;
         }
     }
+}
 
-    /// Applies one nemesis op to the group, so seeded chaos schedules
-    /// drive the composed stack through the same vtable as everything
-    /// else.
-    ///
-    /// # Panics
-    /// Panics on [`NemesisOp::CrashAmnesia`]: amnesia needs a
-    /// [`pbc_sim::Durable`] actor, which the erased view cannot assume.
-    /// Generate composed-stack schedules with `amnesia: false`.
-    fn apply_nemesis(&mut self, op: &NemesisOp) {
-        pbc_trace::emit(self.now(), || TraceEvent::NemesisOp {
-            op: op.label(),
-            node: op.primary_node(),
-        });
-        match op {
-            NemesisOp::Partition { groups } => self.partition(groups),
-            NemesisOp::HealPartition => self.heal_partition(),
-            NemesisOp::Crash { node } => self.crash(*node),
-            NemesisOp::Recover { node } => self.recover(*node),
-            NemesisOp::CrashAmnesia { .. } => {
-                panic!("CrashAmnesia needs a Durable actor; erased clusters support plain crashes")
-            }
-            NemesisOp::Restart { node } => self.restart(*node),
-            NemesisOp::DegradeLink { from, to, fault } => self.degrade_link(*from, *to, *fault),
-            NemesisOp::HealLinks => self.heal_links(),
-            // Disk faults only bite when the cluster owns real stores
-            // ([`DurableNet`] overrides this method); a RAM-checkpointed
-            // cluster has no disk to hurt.
-            NemesisOp::FailSyncs { .. }
-            | NemesisOp::CorruptWalTail { .. }
-            | NemesisOp::BitRot { .. } => {}
-        }
+/// A replica group running on one simulated [`Network`]. The single
+/// [`OrderingCluster`] impl below forwards to the network; the three
+/// defaulted methods are where a group with real stores ([`DurableNet`])
+/// changes what a disk changes.
+pub trait OverNetwork {
+    /// The replicas' actor type.
+    type Actor: OrderingActor;
+
+    /// The network the replicas run on.
+    fn network(&self) -> &Network<Self::Actor>;
+
+    /// The network, mutably — for harnesses that need raw injection or
+    /// time control beyond the [`OrderingCluster`] surface.
+    fn network_mut(&mut self) -> &mut Network<Self::Actor>;
+
+    /// Applies `op` if the group's disks change what it does, returning
+    /// whether it did; every other op goes to [`NemesisOp::apply`].
+    fn apply_disk_op(&mut self, _op: &NemesisOp) -> bool {
+        false
     }
 
-    /// Flushes every alive replica's durable state to its stable store.
-    /// A no-op for clusters without real stores (the default).
-    fn persist(&mut self) {}
+    /// [`OrderingCluster::persist`]; nothing to flush by default.
+    fn persist_stores(&mut self) {}
 
-    /// Re-reads replica `node`'s decided log **from disk** — reopening
-    /// its store cold and decoding what actually survived, bypassing all
-    /// in-memory state. `None` for clusters without real stores.
-    fn cold_decided(&mut self, _node: NodeIdx) -> Option<Vec<(u64, P)>> {
+    /// [`OrderingCluster::cold_decided`]; no disk to read by default.
+    fn read_cold(&mut self, _node: NodeIdx) -> Option<Vec<(u64, PayloadOf<Self>)>> {
         None
     }
 }
 
-/// Every simulated network of ordering actors is an ordering cluster —
+/// What a group over the network `C` agrees on.
+type PayloadOf<C> = <<C as OverNetwork>::Actor as OrderingActor>::Payload;
+
+impl<A: OrderingActor> OverNetwork for Network<A> {
+    type Actor = A;
+
+    fn network(&self) -> &Network<A> {
+        self
+    }
+
+    fn network_mut(&mut self) -> &mut Network<A> {
+        self
+    }
+}
+
+/// Every replica group on a simulated network is an ordering cluster —
 /// the generic driving helpers the rest of the workspace builds on.
-impl<A: OrderingActor> OrderingCluster<A::Payload> for Network<A> {
+impl<C: OverNetwork> OrderingCluster<PayloadOf<C>> for C {
     fn len(&self) -> usize {
-        Network::len(self)
+        self.network().len()
     }
 
     fn protocol(&self) -> &'static str {
-        A::PROTOCOL
+        C::Actor::PROTOCOL
     }
 
-    fn submit(&mut self, payload: A::Payload) {
-        // One allocation for the whole fan-in (PR 2's shared-payload
-        // path); clients appear as node 0, matching the former
-        // per-node inject loop tuple-for-tuple.
-        self.inject_all(0, A::request_msg(payload), 1);
+    fn submit(&mut self, payload: PayloadOf<C>) {
+        // One allocation for the whole fan-in; clients appear as node 0.
+        self.network_mut().inject_all(0, C::Actor::request_msg(payload), 1);
     }
 
-    fn submit_at(&mut self, payload: A::Payload, at: SimTime) {
-        self.inject_all_at(0, A::request_msg(payload), at);
+    fn submit_at(&mut self, payload: PayloadOf<C>, at: SimTime) {
+        self.network_mut().inject_all_at(0, C::Actor::request_msg(payload), at);
     }
 
     fn run_until_time(&mut self, deadline: SimTime) -> u64 {
-        Network::run_until(self, deadline)
+        self.network_mut().run_until(deadline)
     }
 
     fn trace_digest(&self) -> u64 {
-        Network::trace_digest(self)
+        self.network().trace_digest()
     }
 
-    fn decided(&self, node: NodeIdx) -> &[(u64, A::Payload, SimTime)] {
-        self.actor(node).log().delivered()
+    fn decided(&self, node: NodeIdx) -> &[(u64, PayloadOf<C>, SimTime)] {
+        self.network().actor(node).log().delivered()
     }
 
     fn step(&mut self) -> bool {
-        Network::step(self)
+        self.network_mut().step()
     }
 
     fn now(&self) -> SimTime {
-        Network::now(self)
+        self.network().now()
     }
 
     fn stats(&self) -> &NetStats {
-        Network::stats(self)
+        self.network().stats()
     }
 
     fn is_crashed(&self, node: NodeIdx) -> bool {
-        Network::is_crashed(self, node)
+        self.network().is_crashed(node)
     }
 
     fn crash(&mut self, node: NodeIdx) {
-        Network::crash(self, node)
+        self.network_mut().crash(node)
     }
 
     fn recover(&mut self, node: NodeIdx) {
-        Network::recover(self, node)
+        self.network_mut().recover(node)
     }
 
     fn restart(&mut self, node: NodeIdx) {
-        Network::restart(self, node)
+        self.network_mut().restart(node)
     }
 
     fn partition(&mut self, groups: &[Vec<NodeIdx>]) {
-        Network::partition(self, groups)
+        self.network_mut().partition(groups)
     }
 
     fn heal_partition(&mut self) {
-        Network::heal_partition(self)
+        self.network_mut().heal_partition()
     }
 
     fn degrade_link(&mut self, from: NodeIdx, to: NodeIdx, fault: LinkFault) {
-        self.fault_model_mut().set_link(from, to, fault);
+        self.network_mut().fault_model_mut().set_link(from, to, fault);
     }
 
     fn heal_links(&mut self) {
-        self.fault_model_mut().heal_all();
+        self.network_mut().fault_model_mut().heal_all();
+    }
+
+    fn apply_nemesis(&mut self, op: &NemesisOp) {
+        if !self.apply_disk_op(op) {
+            op.apply(self.network_mut());
+        }
+    }
+
+    fn persist(&mut self) {
+        self.persist_stores();
+    }
+
+    fn cold_decided(&mut self, node: NodeIdx) -> Option<Vec<(u64, PayloadOf<C>)>> {
+        self.read_cold(node)
     }
 }
 
@@ -465,153 +502,73 @@ where
     pub fn store_mut(&mut self, node: NodeIdx) -> &mut NodeStore {
         &mut self.stores[node]
     }
-
-    /// The underlying network (read access for assertions).
-    pub fn network(&self) -> &Network<A> {
-        &self.net
-    }
-
-    /// The underlying network, mutably — for harnesses that need raw
-    /// injection or time control beyond the [`OrderingCluster`] surface
-    /// (e.g. replaying a golden scenario event-for-event).
-    pub fn network_mut(&mut self) -> &mut Network<A> {
-        &mut self.net
-    }
 }
 
-impl<A> OrderingCluster<A::Payload> for DurableNet<A>
+impl<A> OverNetwork for DurableNet<A>
 where
     A: OrderingActor + Durable,
     A::Payload: PersistPayload,
 {
-    fn len(&self) -> usize {
-        self.net.len()
+    type Actor = A;
+
+    fn network(&self) -> &Network<A> {
+        &self.net
     }
 
-    fn protocol(&self) -> &'static str {
-        A::PROTOCOL
-    }
-
-    fn submit(&mut self, payload: A::Payload) {
-        self.net.inject_all(0, A::request_msg(payload), 1);
-    }
-
-    fn submit_at(&mut self, payload: A::Payload, at: SimTime) {
-        self.net.inject_all_at(0, A::request_msg(payload), at);
-    }
-
-    fn run_until_time(&mut self, deadline: SimTime) -> u64 {
-        self.net.run_until(deadline)
-    }
-
-    fn trace_digest(&self) -> u64 {
-        self.net.trace_digest()
-    }
-
-    fn decided(&self, node: NodeIdx) -> &[(u64, A::Payload, SimTime)] {
-        self.net.actor(node).log().delivered()
-    }
-
-    fn step(&mut self) -> bool {
-        self.net.step()
-    }
-
-    fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
-    fn stats(&self) -> &NetStats {
-        self.net.stats()
-    }
-
-    fn is_crashed(&self, node: NodeIdx) -> bool {
-        self.net.is_crashed(node)
-    }
-
-    fn crash(&mut self, node: NodeIdx) {
-        self.net.crash(node)
-    }
-
-    fn recover(&mut self, node: NodeIdx) {
-        self.net.recover(node)
-    }
-
-    fn restart(&mut self, node: NodeIdx) {
-        self.net.restart(node)
-    }
-
-    fn partition(&mut self, groups: &[Vec<NodeIdx>]) {
-        self.net.partition(groups)
-    }
-
-    fn heal_partition(&mut self) {
-        self.net.heal_partition()
-    }
-
-    fn degrade_link(&mut self, from: NodeIdx, to: NodeIdx, fault: LinkFault) {
-        self.net.fault_model_mut().set_link(from, to, fault);
-    }
-
-    fn heal_links(&mut self) {
-        self.net.fault_model_mut().heal_all();
+    fn network_mut(&mut self) -> &mut Network<A> {
+        &mut self.net
     }
 
     /// The disk-backed nemesis semantics: amnesia crashes flush then
     /// wipe RAM entirely, restarts of amnesiac nodes recover **only**
     /// from staged disk replay, and the three disk-fault ops arm the
     /// node's store.
-    fn apply_nemesis(&mut self, op: &NemesisOp) {
-        pbc_trace::emit(self.net.now(), || TraceEvent::NemesisOp {
-            op: op.label(),
-            node: op.primary_node(),
-        });
-        match op {
-            NemesisOp::Partition { groups } => self.net.partition(groups),
-            NemesisOp::HealPartition => self.net.heal_partition(),
-            NemesisOp::Crash { node } => self.net.crash(*node),
-            NemesisOp::Recover { node } => self.net.recover(*node),
+    fn apply_disk_op(&mut self, op: &NemesisOp) -> bool {
+        let now = self.net.now();
+        match *op {
             NemesisOp::CrashAmnesia { node } => {
+                op.trace(now);
                 // Flush what the replica managed to persist, then drop
                 // the in-flight (unsynced) writes and all RAM.
-                self.persist_node(*node);
-                self.stores[*node].fault_crash();
-                self.net.crash_total(*node);
-                self.amnesiac[*node] = true;
+                self.persist_node(node);
+                self.stores[node].fault_crash();
+                self.net.crash_total(node);
+                self.amnesiac[node] = true;
             }
-            NemesisOp::Restart { node } => {
-                if !self.amnesiac[*node] {
-                    self.net.restart(*node);
-                    return;
-                }
-                self.amnesiac[*node] = false;
-                let stable = match self.stores[*node].reopen() {
+            NemesisOp::Restart { node } if self.amnesiac[node] => {
+                op.trace(now);
+                self.amnesiac[node] = false;
+                let stable = match self.stores[node].reopen() {
                     Ok(rec) => {
-                        let stable = self.recovered_stable(*node, &rec);
-                        self.recoveries.push((*node, rec));
+                        let stable = self.recovered_stable(node, &rec);
+                        self.recoveries.push((node, rec));
                         stable
                     }
                     // An unrecoverable disk is a fresh boot, not a halt.
-                    Err(_) => A::blank_stable(self.net.actor(*node)),
+                    Err(_) => A::blank_stable(self.net.actor(node)),
                 };
-                self.net.restart_with(*node, stable);
+                self.net.restart_with(node, stable);
             }
-            NemesisOp::DegradeLink { from, to, fault } => {
-                self.net.fault_model_mut().set_link(*from, *to, *fault);
+            NemesisOp::FailSyncs { node, count } => {
+                op.trace(now);
+                self.stores[node].fault_fail_syncs(count);
             }
-            NemesisOp::HealLinks => self.net.fault_model_mut().heal_all(),
-            NemesisOp::FailSyncs { node, count } => self.stores[*node].fault_fail_syncs(*count),
             NemesisOp::CorruptWalTail { node } => {
+                op.trace(now);
                 self.fault_seq += 1;
-                self.stores[*node].fault_corrupt_wal_tail(self.fault_seq);
+                self.stores[node].fault_corrupt_wal_tail(self.fault_seq);
             }
             NemesisOp::BitRot { node } => {
+                op.trace(now);
                 self.fault_seq += 1;
-                self.stores[*node].fault_bit_rot(self.fault_seq);
+                self.stores[node].fault_bit_rot(self.fault_seq);
             }
+            _ => return false,
         }
+        true
     }
 
-    fn persist(&mut self) {
+    fn persist_stores(&mut self) {
         for node in 0..self.net.len() {
             if !self.net.is_crashed(node) {
                 self.persist_node(node);
@@ -619,7 +576,7 @@ where
         }
     }
 
-    fn cold_decided(&mut self, node: NodeIdx) -> Option<Vec<(u64, A::Payload)>> {
+    fn read_cold(&mut self, node: NodeIdx) -> Option<Vec<(u64, A::Payload)>> {
         // Reopen is idempotent staged replay, so a cold read is just a
         // recovery pass over whatever is on disk right now. Blocks that
         // fail payload decoding are dropped — bit rot that slipped past
@@ -634,21 +591,6 @@ where
                 .collect(),
         )
     }
-}
-
-/// Registry metadata for one protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProtocolInfo {
-    /// Registry name (what [`cluster`] matches on).
-    pub name: &'static str,
-    /// True if the protocol rotates its proposer per decided height
-    /// (consumers stamp block seals with the rotating proposer).
-    pub rotating: bool,
-}
-
-/// Looks up a protocol's registry metadata.
-pub fn protocol_info(name: &str) -> Option<&'static ProtocolInfo> {
-    PROTOCOLS.iter().find(|p| p.name == name)
 }
 
 /// Builds, wires, and starts a cluster over `actors`, wrapping every
@@ -682,54 +624,76 @@ fn started<A: OrderingActor + 'static>(
     Box::new(net)
 }
 
-// Uniform per-protocol constructors: each takes a replica count and
-// returns the actor vector. These (plus the registry entries below) are
-// the only protocol-specific lines in the whole composition story.
-
-fn pbft_actors<P: Payload + 'static>(n: usize) -> Vec<PbftReplica<P>> {
-    let cfg = PbftConfig::new(n);
-    (0..n).map(|_| PbftReplica::new(cfg.clone())).collect()
+/// Replicas `0..n`, each built by `make`.
+fn replicas<A>(n: usize, make: impl FnMut(NodeIdx) -> A) -> Vec<A> {
+    (0..n).map(make).collect()
 }
 
-fn ibft_actors<P: Payload + 'static>(n: usize) -> Vec<PbftReplica<P>> {
-    let cfg = PbftConfig::ibft(n);
-    (0..n).map(|_| PbftReplica::new(cfg.clone())).collect()
+/// Expands to `Some(runtime.mount(..))` for a TCP-capable table line and
+/// to `None` for a simulator-only one (whose messages have no wire codec,
+/// so its factory is not even expanded).
+macro_rules! mount_if {
+    (tcp, $runtime:expr, $kind:expr, $n:expr, $make:expr) => {
+        Some($runtime.mount($kind, $n, $make))
+    };
+    (sim, $($unused:tt)*) => {
+        None
+    };
 }
 
-fn hotstuff_actors<P: Payload + 'static>(n: usize) -> Vec<HotStuffReplica<P>> {
-    let cfg = HotStuffConfig::new(n);
-    (0..n).map(|_| HotStuffReplica::new(cfg.clone())).collect()
-}
-
-fn tendermint_actors<P: Payload + 'static>(n: usize) -> Vec<TendermintNode<P>> {
-    let cfg = TendermintConfig::equal(n);
-    (0..n).map(|_| TendermintNode::new(cfg.clone())).collect()
-}
-
-fn raft_actors<P: Payload + 'static>(n: usize) -> Vec<RaftNode<P>> {
-    let cfg = RaftConfig::new(n);
-    (0..n).map(|i| RaftNode::new(cfg.clone(), i)).collect()
-}
-
-fn paxos_actors<P: Payload + 'static>(n: usize) -> Vec<PaxosNode<P>> {
-    let cfg = PaxosConfig::new(n);
-    (0..n).map(|i| PaxosNode::new(cfg.clone(), i)).collect()
-}
-
-fn minbft_actors<P: Payload + 'static>(n: usize) -> Vec<MinBftReplica<P>> {
-    let cfg = MinBftConfig::new(n);
-    (0..n).map(|i| MinBftReplica::new(cfg.clone(), i)).collect()
-}
-
-/// Generates the protocol registry: the static metadata table plus the
-/// name → constructor dispatch of [`cluster_with`]. One entry per line;
-/// this is the single point a new protocol hooks into.
+/// Generates the protocol catalogue from one table: [`ConsensusKind`]
+/// with its metadata, and the [`cluster_with`], [`durable_cluster_with`]
+/// and [`run_real`] dispatch, each arm calling the line's replica
+/// factory. A line reads `Variant => "name", rotating: bool, min_nodes:
+/// count, tcp | sim, |n| factory;` where `factory` is an
+/// `FnMut(NodeIdx) -> A` for an `n`-replica group.
 macro_rules! ordering_registry {
-    ($( $name:literal => rotating $rot:literal, $builder:path; )*) => {
-        /// Every registered protocol, in registry order.
-        pub const PROTOCOLS: &[ProtocolInfo] = &[
-            $( ProtocolInfo { name: $name, rotating: $rot } ),*
-        ];
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident => $name:literal, rotating: $rot:literal, min_nodes: $min:literal,
+            $transport:ident, $factory:expr;
+    )*) => {
+        /// Which ordering protocol a cluster runs (§2.2, §2.3.3): one
+        /// variant per line of the `ordering_registry!` table.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum ConsensusKind {
+            $( $(#[$doc])* $kind, )*
+        }
+
+        impl ConsensusKind {
+            /// Every protocol the stack can run, in table order.
+            pub const ALL: [ConsensusKind; [$($name),*].len()] = [$(ConsensusKind::$kind),*];
+
+            /// The protocol's registry name (what [`cluster`] takes).
+            pub fn registry_name(&self) -> &'static str {
+                match self {
+                    $( ConsensusKind::$kind => $name, )*
+                }
+            }
+
+            /// Minimum replica count tolerating one fault under this
+            /// protocol's fault model (`3f+1` Byzantine, `2f+1` crash /
+            /// trusted-hardware).
+            pub fn min_nodes(&self) -> usize {
+                match self {
+                    $( ConsensusKind::$kind => $min, )*
+                }
+            }
+
+            /// True if the protocol rotates its proposer per decided
+            /// height (consumers stamp block seals with the rotating
+            /// proposer).
+            pub fn rotating(&self) -> bool {
+                match self {
+                    $( ConsensusKind::$kind => $rot, )*
+                }
+            }
+
+            /// The protocol registered under `name`, if any.
+            pub fn from_name(name: &str) -> Option<ConsensusKind> {
+                ConsensusKind::ALL.into_iter().find(|kind| kind.registry_name() == name)
+            }
+        }
 
         /// Builds a started `proto` cluster of `n` replicas, optionally
         /// wrapping the listed nodes in Byzantine [`Adversary`]s with
@@ -740,10 +704,9 @@ macro_rules! ordering_registry {
             cfg: NetworkConfig,
             byzantine: &[(NodeIdx, Vec<Attack>)],
         ) -> Option<Box<dyn OrderingCluster<P>>> {
-            match proto {
-                $( $name => Some(finish($builder(n), cfg, byzantine)), )*
-                _ => None,
-            }
+            Some(match ConsensusKind::from_name(proto)? {
+                $( ConsensusKind::$kind => finish(replicas(n, ($factory)(n)), cfg, byzantine), )*
+            })
         }
 
         /// Builds a started `proto` cluster whose `n` replicas are wired
@@ -759,22 +722,53 @@ macro_rules! ordering_registry {
             cfg: NetworkConfig,
             stores: Vec<NodeStore>,
         ) -> Option<Box<dyn OrderingCluster<P>>> {
-            match proto {
-                $( $name => Some(Box::new(DurableNet::new($builder(n), cfg, stores))), )*
-                _ => None,
+            Some(match ConsensusKind::from_name(proto)? {
+                $( ConsensusKind::$kind =>
+                    Box::new(DurableNet::new(replicas(n, ($factory)(n)), cfg, stores)), )*
+            })
+        }
+
+        /// [`cluster`]'s real-transport sibling: resolves `proto` to its
+        /// replica factory and mounts `n` replicas on `runtime`. Returns
+        /// `None` for a protocol that is unknown *or not wire-capable*
+        /// (a `sim` line in the table). A protocol becomes wire-capable
+        /// by implementing [`WireMsg`] for its message type and marking
+        /// its line `tcp`.
+        pub fn run_real<P, R>(proto: &str, n: usize, runtime: R) -> Option<R::Output>
+        where
+            P: PersistPayload + 'static,
+            R: RealRuntime<P>,
+        {
+            match ConsensusKind::from_name(proto)? {
+                $( ConsensusKind::$kind =>
+                    mount_if!($transport, runtime, ConsensusKind::$kind, n, ($factory)(n)), )*
             }
         }
     };
 }
 
 ordering_registry! {
-    "pbft"       => rotating false, pbft_actors;
-    "ibft"       => rotating true,  ibft_actors;
-    "hotstuff"   => rotating true,  hotstuff_actors;
-    "tendermint" => rotating true,  tendermint_actors;
-    "raft"       => rotating false, raft_actors;
-    "paxos"      => rotating false, paxos_actors;
-    "minbft"     => rotating false, minbft_actors;
+    /// PBFT with a fixed primary per view.
+    Pbft => "pbft", rotating: false, min_nodes: 4, tcp,
+        |n| { let cfg = PbftConfig::new(n); move |_| PbftReplica::new(cfg.clone()) };
+    /// IBFT-style PBFT with per-height proposer rotation.
+    Ibft => "ibft", rotating: true, min_nodes: 4, tcp,
+        |n| { let cfg = PbftConfig::ibft(n); move |_| PbftReplica::new(cfg.clone()) };
+    /// Basic HotStuff (linear message complexity).
+    HotStuff => "hotstuff", rotating: true, min_nodes: 4, sim,
+        |n| { let cfg = HotStuffConfig::new(n); move |_| HotStuffReplica::new(cfg.clone()) };
+    /// Tendermint with equal validator powers.
+    Tendermint => "tendermint", rotating: true, min_nodes: 4, sim,
+        |n| { let cfg = TendermintConfig::equal(n); move |_| TendermintNode::new(cfg.clone()) };
+    /// Raft (crash fault tolerant).
+    Raft => "raft", rotating: false, min_nodes: 3, sim,
+        |n| { let cfg = RaftConfig::new(n); move |i| RaftNode::new(cfg.clone(), i) };
+    /// Multi-decree Paxos (crash fault tolerant).
+    Paxos => "paxos", rotating: false, min_nodes: 3, sim,
+        |n| { let cfg = PaxosConfig::new(n); move |i| PaxosNode::new(cfg.clone(), i) };
+    /// MinBFT with trusted hardware (n = 2f+1).
+    MinBft => "minbft", rotating: false, min_nodes: 3, sim,
+        |n| { let cfg = MinBftConfig::new(n); move |i| MinBftReplica::new(cfg.clone(), i) };
 }
 
 /// [`cluster_with`] without adversaries: the common case.
@@ -793,46 +787,25 @@ pub fn cluster<P: Payload + 'static>(
 /// because every engine is defined in this crate; a real runtime
 /// (pbc-net's TCP cluster) lives downstream, so the registry inverts
 /// control instead: [`run_real`] resolves the protocol name to a
-/// concrete actor type and calls [`mount`](RealRuntime::mount) with a
-/// *factory*, keeping the actor generics confined to the runtime while
-/// the protocol dispatch stays here, one line per protocol like
-/// [`cluster_with`]. The factory (rather than a pre-built `Vec`) lets
-/// the runtime re-create a node's actor after a kill/reboot.
+/// concrete actor type and calls [`mount`](RealRuntime::mount) with the
+/// table line's replica *factory*, keeping the actor generics confined
+/// to the runtime while the protocol dispatch stays in the table. The
+/// factory (rather than a pre-built `Vec`) lets the runtime re-create a
+/// node's actor after a kill/reboot.
 pub trait RealRuntime<P: Payload + 'static> {
     /// What mounting yields — typically a running-cluster handle,
     /// erased of the actor type.
     type Output;
 
     /// Boots a cluster of `n` actors built by `make` on this runtime.
-    fn mount<A, F>(self, n: usize, make: F) -> Self::Output
+    /// `kind` is the table line being mounted: a runtime that keys
+    /// anything on the protocol uses its registry name, not the actor's
+    /// label, which two lines can share.
+    fn mount<A, F>(self, kind: ConsensusKind, n: usize, make: F) -> Self::Output
     where
         A: OrderingActor<Payload = P> + Send + 'static,
         A::Msg: WireMsg + Send,
         F: FnMut(NodeIdx) -> A + Send + 'static;
-}
-
-/// [`cluster`]'s real-transport sibling: resolves `proto` to its actor
-/// constructor and mounts `n` replicas on `runtime`. Returns `None` for
-/// a protocol that is unknown *or not yet wire-capable* — a protocol
-/// becomes wire-capable by implementing [`WireMsg`] for its message
-/// type and adding one arm here. PBFT and IBFT qualify today; that is
-/// exactly the pair the §2.3.3 sim-vs-TCP cross-check exercises.
-pub fn run_real<P, R>(proto: &str, n: usize, runtime: R) -> Option<R::Output>
-where
-    P: PersistPayload + 'static,
-    R: RealRuntime<P>,
-{
-    match proto {
-        "pbft" => {
-            let cfg = PbftConfig::new(n);
-            Some(runtime.mount(n, move |_| PbftReplica::new(cfg.clone())))
-        }
-        "ibft" => {
-            let cfg = PbftConfig::ibft(n);
-            Some(runtime.mount(n, move |_| PbftReplica::new(cfg.clone())))
-        }
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -853,15 +826,17 @@ mod tests {
 
     #[test]
     fn every_registered_protocol_orders_and_agrees() {
-        for info in PROTOCOLS {
-            let n = if info.name == "minbft" { 3 } else { 4 };
-            let c = drive(info.name, n, 3);
-            assert_eq!(c.protocol(), protocol_info(info.name).unwrap().name.max(c.protocol()));
+        for kind in ConsensusKind::ALL {
+            let (name, n) = (kind.registry_name(), kind.min_nodes());
+            let c = drive(name, n, 3);
+            // IBFT is PBFT in rotating mode: same actor, same label.
+            let label = if kind == ConsensusKind::Ibft { "pbft" } else { name };
+            assert_eq!(c.protocol(), label);
             let reference: Vec<u64> = c.decided(0).iter().map(|(_, p, _)| *p).collect();
-            assert_eq!(reference.len(), 3, "{}", info.name);
+            assert_eq!(reference.len(), 3, "{name}");
             for i in 1..n {
                 let log: Vec<u64> = c.decided(i).iter().map(|(_, p, _)| *p).collect();
-                assert_eq!(log, reference, "{} node {i} diverged", info.name);
+                assert_eq!(log, reference, "{name} node {i} diverged");
             }
         }
     }
@@ -917,17 +892,55 @@ mod tests {
     #[test]
     fn unknown_protocol_is_none() {
         assert!(cluster::<u64>("zab", 4, NetworkConfig::default()).is_none());
-        assert!(protocol_info("zab").is_none());
+        assert!(ConsensusKind::from_name("zab").is_none());
     }
 
     #[test]
     fn registry_metadata_matches_rotation_story() {
-        // The three per-height rotating protocols, per §2.3.3.
-        for (name, rotating) in
-            [("pbft", false), ("ibft", true), ("hotstuff", true), ("tendermint", true)]
-        {
-            assert_eq!(protocol_info(name).unwrap().rotating, rotating, "{name}");
+        use ConsensusKind::*;
+        for kind in ConsensusKind::ALL {
+            assert_eq!(ConsensusKind::from_name(kind.registry_name()), Some(kind));
+            // The three per-height rotating protocols, per §2.3.3.
+            assert_eq!(kind.rotating(), matches!(kind, Ibft | HotStuff | Tendermint), "{kind:?}");
+            // 2f+1 for crash faults and trusted hardware, 3f+1 otherwise.
+            let two_f_plus_one = matches!(kind, Raft | Paxos | MinBft);
+            assert_eq!(kind.min_nodes(), if two_f_plus_one { 3 } else { 4 }, "{kind:?}");
         }
+    }
+
+    /// A runtime that builds one replica and reports what it was handed.
+    struct Probe;
+
+    impl<P: Payload + 'static> RealRuntime<P> for Probe {
+        type Output = (ConsensusKind, &'static str);
+
+        fn mount<A, F>(self, kind: ConsensusKind, _n: usize, mut make: F) -> Self::Output
+        where
+            A: OrderingActor<Payload = P> + Send + 'static,
+            A::Msg: WireMsg + Send,
+            F: FnMut(NodeIdx) -> A + Send + 'static,
+        {
+            make(0);
+            (kind, A::PROTOCOL)
+        }
+    }
+
+    #[test]
+    fn run_real_mounts_the_tcp_lines_under_their_registry_name() {
+        let mounted: Vec<_> = ConsensusKind::ALL
+            .iter()
+            .filter_map(|kind| run_real::<u64, _>(kind.registry_name(), 4, Probe))
+            .collect();
+        // IBFT mounts a PBFT actor, but under its own name.
+        assert_eq!(mounted, [(ConsensusKind::Pbft, "pbft"), (ConsensusKind::Ibft, "pbft")]);
+        assert!(run_real::<u64, _>("zab", 4, Probe).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "CrashAmnesia requires a Durable actor")]
+    fn plain_cluster_refuses_amnesia() {
+        let mut c = cluster::<u64>("pbft", 4, NetworkConfig::default()).unwrap();
+        c.apply_nemesis(&NemesisOp::CrashAmnesia { node: 1 });
     }
 
     #[test]
@@ -954,8 +967,8 @@ mod tests {
 
     #[test]
     fn durable_cluster_recovers_decided_log_from_disk() {
-        for proto in ["pbft", "raft", "hotstuff", "tendermint", "paxos", "minbft", "ibft"] {
-            let n = if proto == "minbft" { 3 } else { 4 };
+        for kind in ConsensusKind::ALL {
+            let (proto, n) = (kind.registry_name(), kind.min_nodes());
             let cfg = NetworkConfig { seed: 0xD15C, ..Default::default() };
             let mut c =
                 durable_cluster_with::<u64>(proto, n, cfg, fault_stores(n, 0xD15C)).unwrap();

@@ -23,7 +23,7 @@
 use crate::batch::Batch;
 use crate::network::ArchKind;
 use pbc_arch::BlockSeal;
-use pbc_consensus::{protocol_info, Payload};
+use pbc_consensus::{ConsensusKind, Payload};
 use pbc_crypto::Hash;
 use pbc_ledger::StateStore;
 use pbc_sim::SimTime;
@@ -49,7 +49,7 @@ pub struct CommitRow {
 /// proposers — the network driver's seal pinning and the deployment
 /// cross-check both call it.
 pub fn seal_proposer(protocol: &str, n: usize, seq: u64) -> u32 {
-    let rotating = protocol_info(protocol).map(|p| p.rotating).unwrap_or(false);
+    let rotating = ConsensusKind::from_name(protocol).is_some_and(|kind| kind.rotating());
     if rotating {
         (seq as usize % n) as u32
     } else {

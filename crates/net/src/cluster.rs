@@ -44,7 +44,7 @@ use crate::frame::{
 use crate::timer::TimerQueue;
 use pbc_consensus::ordering::RealRuntime;
 use pbc_consensus::wire::WireMsg;
-use pbc_consensus::{OrderingActor, Payload};
+use pbc_consensus::{ConsensusKind, OrderingActor, Payload};
 use pbc_sim::actor::Effect;
 use pbc_sim::{Context, NodeIdx, SimTime};
 use pbc_store::write_full;
@@ -151,8 +151,9 @@ impl RealStats {
     }
 }
 
-/// Digest identifying one cluster: protocol, size, and seed, mixed
-/// splitmix-style. Handshakes carry it; mismatch refuses the peer.
+/// Digest identifying one cluster: protocol registry name, size, and
+/// seed, mixed splitmix-style. Handshakes carry it; mismatch refuses the
+/// peer.
 pub fn genesis_digest(protocol: &str, n: usize, seed: u64) -> u64 {
     let mut h = 0x9E37_79B9_7F4A_7C15u64 ^ seed;
     for b in protocol.bytes().chain((n as u64).to_be_bytes()) {
@@ -968,13 +969,13 @@ impl NetRunner {
 impl<P: Payload + 'static> RealRuntime<P> for NetRunner {
     type Output = io::Result<RealHandle<P>>;
 
-    fn mount<A, F>(self, n: usize, make: F) -> io::Result<RealHandle<P>>
+    fn mount<A, F>(self, kind: ConsensusKind, n: usize, make: F) -> io::Result<RealHandle<P>>
     where
         A: OrderingActor<Payload = P> + Send + 'static,
         A::Msg: WireMsg + Send,
         F: FnMut(NodeIdx) -> A + Send + 'static,
     {
-        let genesis = genesis_digest(A::PROTOCOL, n, self.cfg.seed);
+        let genesis = genesis_digest(kind.registry_name(), n, self.cfg.seed);
         let cluster = NetCluster::<A>::boot(self.cfg, n, Box::new(make), genesis)?;
         let stats = cluster.stats.clone();
         Ok(RealHandle { n, stats, ops: Box::new(cluster) })

@@ -87,6 +87,29 @@ fn listener_rejects_wrong_genesis_and_garbage_handshakes() {
     );
 }
 
+#[test]
+fn ibft_node_refuses_the_pbft_genesis() {
+    // Both protocols run `PbftReplica`: with the same size and seed, only
+    // the registry name keeps an IBFT node out of a PBFT cluster.
+    let cluster = run_real::<u64, _>("ibft", 1, NetRunner::with_seed(42))
+        .expect("ibft is wire-capable")
+        .expect("single-node cluster boots");
+    let addr = cluster.addr(0);
+
+    let mut stranger = TcpStream::connect(addr).expect("connect");
+    let pbft = Hello { genesis: genesis_digest("pbft", 1, 42), node: CLIENT_NODE };
+    write_frame(&mut stranger, &pbft.encode(), DEFAULT_MAX_FRAME).expect("send hello");
+    assert_connection_drops(&mut stranger);
+
+    let genesis = genesis_digest("ibft", 1, 42);
+    let mut member = TcpStream::connect(addr).expect("connect");
+    let hello = Hello { genesis, node: CLIENT_NODE };
+    write_frame(&mut member, &hello.encode(), DEFAULT_MAX_FRAME).expect("send hello");
+    let reply = read_frame(&mut member, DEFAULT_MAX_FRAME).expect("hello reply");
+    assert_eq!(Hello::decode(&reply).expect("valid reply").genesis, genesis);
+    assert_eq!(cluster.stats().handshakes_rejected, 1);
+}
+
 fn assert_connection_drops(stream: &mut TcpStream) {
     stream.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
     let mut buf = [0u8; 1];

@@ -56,13 +56,18 @@ impl ConsensusGroup {
     /// Orders one command through the group's consensus and returns the
     /// measured decide latency in simulation ticks (submission →
     /// decision on the first alive replica).
+    ///
+    /// # Panics
+    /// Panics, naming the protocol, if the group fails to decide the
+    /// command within its event budget: a latency read off a stalled
+    /// group would be the previous command's.
     pub fn order(&mut self, digest: u64) -> SimTime {
         let cmd = (self.submitted << 32) ^ (digest & 0xffff_ffff);
         let t0 = self.cluster.now();
         self.cluster.submit(cmd);
         self.submitted += 1;
         let decided = self.cluster.run_until_decided(self.submitted as usize, ORDER_BUDGET);
-        debug_assert!(decided, "{} group stalled ordering a command", self.cluster.protocol());
+        assert!(decided, "{} group stalled ordering a command", self.cluster.protocol());
         let reference = (0..self.replicas).find(|&i| !self.cluster.is_crashed(i));
         reference
             .and_then(|node| self.cluster.decided(node).last().map(|(_, _, t)| *t))
@@ -117,12 +122,22 @@ mod tests {
 
     #[test]
     fn every_registry_protocol_backs_a_group() {
-        for proto in ["pbft", "ibft", "hotstuff", "tendermint", "raft", "paxos", "minbft"] {
-            let n = if proto == "minbft" || proto == "raft" || proto == "paxos" { 3 } else { 4 };
-            let mut g = ConsensusGroup::new(proto, n, 7);
+        for kind in pbc_consensus::ConsensusKind::ALL {
+            let proto = kind.registry_name();
+            let mut g = ConsensusGroup::new(proto, kind.min_nodes(), 7);
             assert!(g.order(1) > 0, "{proto}");
             assert!(g.agreement(), "{proto}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "pbft group stalled ordering a command")]
+    fn a_group_without_a_quorum_refuses_to_report_a_latency() {
+        let mut g = ConsensusGroup::new("pbft", 4, 0x5A);
+        g.order(1);
+        g.cluster.crash(1);
+        g.cluster.crash(2);
+        g.order(2);
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //! }
 //! ```
 //!
-//! Driving a network through the schedule (`Nemesis::drive`, or
-//! [`drive_durable`](Nemesis::drive_durable) when amnesia is on) checks
+//! Driving a network through the schedule ([`Nemesis::drive`]) checks
 //! the supplied invariants after every op; on a violation,
 //! [`violation_report`] renders the last trace events into a post-mortem
 //! string when a [`pbc_trace`] sink is installed.
@@ -148,17 +147,23 @@ impl NemesisOp {
         }
     }
 
-    /// Applies this op to a network of plain actors.
+    /// Records this op in the installed trace sink at tick `now`.
+    pub fn trace(&self, now: SimTime) {
+        pbc_trace::emit(now, || TraceEvent::NemesisOp {
+            op: self.label(),
+            node: self.primary_node(),
+        });
+    }
+
+    /// Applies this op to a network of plain actors: the one interpreter
+    /// of the network ops, which every ordering cluster delegates to.
     ///
     /// # Panics
     /// Panics on [`NemesisOp::CrashAmnesia`] — amnesia crashes need a
     /// [`Durable`] actor; use [`NemesisOp::apply_durable`] (schedules
     /// generated with `amnesia: false` never contain them).
     pub fn apply<A: Actor>(&self, net: &mut Network<A>) {
-        pbc_trace::emit(net.now(), || TraceEvent::NemesisOp {
-            op: self.label(),
-            node: self.primary_node(),
-        });
+        self.trace(net.now());
         match self {
             NemesisOp::Partition { groups } => net.partition(groups),
             NemesisOp::HealPartition => net.heal_partition(),
@@ -187,10 +192,7 @@ impl NemesisOp {
     pub fn apply_durable<A: Durable>(&self, net: &mut Network<A>) {
         match self {
             NemesisOp::CrashAmnesia { node } => {
-                pbc_trace::emit(net.now(), || TraceEvent::NemesisOp {
-                    op: self.label(),
-                    node: *node,
-                });
+                self.trace(net.now());
                 net.crash_and_lose_memory(*node);
             }
             other => other.apply(net),
@@ -473,40 +475,13 @@ impl Nemesis {
         &self.ops
     }
 
-    /// Drives a network of plain actors through the timeline: apply an
-    /// op, run `op_gap` ticks of simulation, snapshot every node's
-    /// decided view via `views`, feed it to the checker; stop at the
-    /// first violation. A final settling window of `4 * op_gap` runs
-    /// after the last (healing) op before the last observation.
-    ///
-    /// # Panics
-    /// Panics if the schedule contains amnesia crashes — use
-    /// [`Nemesis::drive_durable`] for those.
+    /// Drives a network of [`Durable`] actors through the timeline
+    /// (amnesia crashes included): apply an op, run `op_gap` ticks of
+    /// simulation, snapshot every node's decided view via `views`, feed
+    /// it to the checker; stop at the first violation. A final settling
+    /// window of `4 * op_gap` runs after the last (healing) op before
+    /// the last observation.
     pub fn drive<A, F>(
-        &self,
-        net: &mut Network<A>,
-        op_gap: SimTime,
-        checker: &mut InvariantChecker,
-        mut views: F,
-    ) -> Result<(), Violation>
-    where
-        A: Actor,
-        F: FnMut(&Network<A>) -> Vec<Vec<DecidedEntry>>,
-    {
-        for op in &self.ops {
-            op.apply(net);
-            let deadline = net.now() + op_gap;
-            net.run_until(deadline);
-            checker.observe(&views(net))?;
-        }
-        let deadline = net.now() + 4 * op_gap;
-        net.run_until(deadline);
-        checker.observe(&views(net))
-    }
-
-    /// [`Nemesis::drive`] for [`Durable`] actors: additionally supports
-    /// amnesia crashes.
-    pub fn drive_durable<A, F>(
         &self,
         net: &mut Network<A>,
         op_gap: SimTime,

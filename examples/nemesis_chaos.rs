@@ -58,7 +58,7 @@ fn main() {
     }
 
     println!("\ndriving, checking agreement + rewrite invariants after every op ...");
-    match nemesis.drive_durable(&mut net, 400_000, &mut checker, views) {
+    match nemesis.drive(&mut net, 400_000, &mut checker, views) {
         Ok(()) => println!("no safety violation during the schedule"),
         Err(v) => {
             println!("SAFETY VIOLATION: {v}");

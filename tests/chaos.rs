@@ -9,13 +9,13 @@
 //! pure function of `(n, NemesisConfig)` and the simulator replays the
 //! same event order for the same network seed.
 
-use pbc_consensus::hotstuff::{HotStuffConfig, HotStuffReplica, HsMsg};
+use pbc_consensus::hotstuff::{HotStuffConfig, HotStuffReplica};
 use pbc_consensus::minbft::{MinBftConfig, MinBftMsg, MinBftReplica};
-use pbc_consensus::paxos::{PaxosConfig, PaxosMsg, PaxosNode};
+use pbc_consensus::paxos::{PaxosConfig, PaxosNode};
 use pbc_consensus::pbft::{PbftConfig, PbftMsg, PbftReplica};
 use pbc_consensus::raft::{RaftConfig, RaftMsg, RaftNode, VolatileRaft};
-use pbc_consensus::tendermint::{TendermintConfig, TendermintNode, TmMsg};
-use pbc_consensus::{DurableNet, OrderingCluster, Payload};
+use pbc_consensus::tendermint::{TendermintConfig, TendermintNode};
+use pbc_consensus::{DurableNet, OrderingActor, OrderingCluster, Payload};
 use pbc_sim::{
     violation_report, Adversary, Attack, Durable, InvariantChecker, Nemesis, NemesisConfig,
     NemesisOp, Network, NetworkConfig, Violation,
@@ -52,52 +52,46 @@ fn dump_and_panic(what: &str, seed: u64, v: &Violation) -> ! {
 /// inside one window.
 const OP_GAP: u64 = 400_000;
 
-/// Runs `actors` through a seeded nemesis timeline, checking agreement
-/// and rewrite invariants after every op, then asserts at least
-/// `min_decided` distinct slots decided by the end (liveness under the
-/// quorum guard). Returns the decided-slot count for extra assertions.
-fn chaos_run<A, FS, FV>(
-    actors: Vec<A>,
-    seed: u64,
-    amnesia: bool,
-    min_decided: usize,
-    submit: FS,
-    views: FV,
-) -> usize
-where
-    A: Durable,
-    FS: Fn(&mut Network<A>, u64),
-    FV: Fn(&Network<A>) -> Vec<Vec<(u64, u64)>>,
-{
-    let n = actors.len();
-    // A bounded trace ring: if an invariant trips, the dump shows what
-    // the network did in the run-up.
-    pbc_trace::install(pbc_trace::TraceSink::new(4096));
-    let mut net = Network::new(actors, NetworkConfig { seed, ..Default::default() });
-    net.start();
-    for p in 1..=5u64 {
-        submit(&mut net, p);
-    }
-    net.run_until(600_000);
-    let mut checker = InvariantChecker::new(n);
-    checker.observe(&views(&net)).expect("pre-chaos safety");
+/// Runs replicas built by `make` through one seeded nemesis timeline per
+/// seed in [`SEEDS`], amnesia crashes included, checking agreement and
+/// rewrite invariants after every op, then asserts at least one slot
+/// decided by the end (liveness under the quorum guard).
+fn chaos_run<A: OrderingActor<Payload = u64> + Durable>(make: impl Fn() -> Vec<A>) {
+    let submit = |net: &mut Network<A>, p: u64| {
+        for i in 0..net.len() {
+            net.inject(0, i, A::request_msg(p), 1);
+        }
+    };
+    let views = |net: &Network<A>| log_views(net.actors().map(|a| a.log()));
+    for seed in SEEDS {
+        let actors = make();
+        let n = actors.len();
+        // A bounded trace ring: if an invariant trips, the dump shows what
+        // the network did in the run-up.
+        pbc_trace::install(pbc_trace::TraceSink::new(4096));
+        let mut net = Network::new(actors, NetworkConfig { seed, ..Default::default() });
+        net.start();
+        for p in 1..=5u64 {
+            submit(&mut net, p);
+        }
+        net.run_until(600_000);
+        let mut checker = InvariantChecker::new(n);
+        checker.observe(&views(&net)).expect("pre-chaos safety");
 
-    let mut ncfg = NemesisConfig::new(seed).with_steps(12);
-    ncfg.amnesia = amnesia;
-    let nemesis = Nemesis::generate(n, &ncfg);
-    nemesis
-        .drive_durable(&mut net, OP_GAP, &mut checker, &views)
-        .unwrap_or_else(|v| dump_and_panic("violated-safety", seed, &v));
+        let nemesis = Nemesis::generate(n, &NemesisConfig::new(seed).with_steps(12).with_amnesia());
+        nemesis
+            .drive(&mut net, OP_GAP, &mut checker, &views)
+            .unwrap_or_else(|v| dump_and_panic("violated-safety", seed, &v));
 
-    // The schedule ended fully healed: new requests must still decide.
-    for p in 6..=7u64 {
-        submit(&mut net, p);
+        // The schedule ended fully healed: new requests must still decide.
+        for p in 6..=7u64 {
+            submit(&mut net, p);
+        }
+        net.run_until(net.now() + 4_000_000);
+        checker.observe(&views(&net)).expect("post-chaos safety");
+        checker.check_progress(1).unwrap_or_else(|v| dump_and_panic("stalled", seed, &v));
+        pbc_trace::uninstall();
     }
-    net.run_until(net.now() + 4_000_000);
-    checker.observe(&views(&net)).expect("post-chaos safety");
-    checker.check_progress(min_decided).unwrap_or_else(|v| dump_and_panic("stalled", seed, &v));
-    pbc_trace::uninstall();
-    checker.total_decided()
 }
 
 /// `(seq, digest)` views straight from a replica's decided log.
@@ -110,142 +104,44 @@ where
 
 #[test]
 fn chaos_pbft() {
-    for seed in SEEDS {
-        let cfg = PbftConfig::new(4);
-        let actors = (0..4).map(|_| PbftReplica::<u64>::new(cfg.clone())).collect();
-        chaos_run(
-            actors,
-            seed,
-            true, // durable: amnesia crashes included
-            1,
-            |net, p| {
-                for i in 0..net.len() {
-                    net.inject(0, i, PbftMsg::Request(p), 1);
-                }
-            },
-            |net| log_views(net.actors().map(|a| &a.log)),
-        );
-    }
+    let cfg = PbftConfig::new(4);
+    chaos_run(|| (0..4).map(|_| PbftReplica::<u64>::new(cfg.clone())).collect());
 }
 
 #[test]
 fn chaos_ibft() {
-    for seed in SEEDS {
-        let cfg = PbftConfig::ibft(4);
-        let actors = (0..4).map(|_| PbftReplica::<u64>::new(cfg.clone())).collect();
-        chaos_run(
-            actors,
-            seed,
-            true,
-            1,
-            |net, p| {
-                for i in 0..net.len() {
-                    net.inject(0, i, PbftMsg::Request(p), 1);
-                }
-            },
-            |net| log_views(net.actors().map(|a| &a.log)),
-        );
-    }
+    let cfg = PbftConfig::ibft(4);
+    chaos_run(|| (0..4).map(|_| PbftReplica::<u64>::new(cfg.clone())).collect());
 }
 
 #[test]
 fn chaos_raft() {
-    for seed in SEEDS {
-        let cfg = RaftConfig::new(5);
-        let actors = (0..5).map(|i| RaftNode::<u64>::new(cfg.clone(), i)).collect();
-        chaos_run(
-            actors,
-            seed,
-            true,
-            1,
-            |net, p| {
-                for i in 0..net.len() {
-                    net.inject(0, i, RaftMsg::Request(p), 1);
-                }
-            },
-            |net| log_views(net.actors().map(|a| &a.log)),
-        );
-    }
+    let cfg = RaftConfig::new(5);
+    chaos_run(|| (0..5).map(|i| RaftNode::<u64>::new(cfg.clone(), i)).collect());
 }
 
 #[test]
 fn chaos_minbft() {
-    for seed in SEEDS {
-        let cfg = MinBftConfig::new(3);
-        let actors = (0..3).map(|i| MinBftReplica::<u64>::new(cfg.clone(), i)).collect();
-        chaos_run(
-            actors,
-            seed,
-            true,
-            1,
-            |net, p| {
-                for i in 0..net.len() {
-                    net.inject(0, i, MinBftMsg::Request(p), 1);
-                }
-            },
-            |net| log_views(net.actors().map(|a| &a.log)),
-        );
-    }
+    let cfg = MinBftConfig::new(3);
+    chaos_run(|| (0..3).map(|i| MinBftReplica::<u64>::new(cfg.clone(), i)).collect());
 }
 
 #[test]
 fn chaos_hotstuff() {
-    for seed in SEEDS {
-        let cfg = HotStuffConfig::new(4);
-        let actors = (0..4).map(|_| HotStuffReplica::<u64>::new(cfg.clone())).collect();
-        chaos_run(
-            actors,
-            seed,
-            true,
-            1,
-            |net, p| {
-                for i in 0..net.len() {
-                    net.inject(0, i, HsMsg::Request(p), 1);
-                }
-            },
-            |net| log_views(net.actors().map(|a| &a.log)),
-        );
-    }
+    let cfg = HotStuffConfig::new(4);
+    chaos_run(|| (0..4).map(|_| HotStuffReplica::<u64>::new(cfg.clone())).collect());
 }
 
 #[test]
 fn chaos_tendermint() {
-    for seed in SEEDS {
-        let cfg = TendermintConfig::equal(4);
-        let actors = (0..4).map(|_| TendermintNode::<u64>::new(cfg.clone())).collect();
-        chaos_run(
-            actors,
-            seed,
-            true,
-            1,
-            |net, p| {
-                for i in 0..net.len() {
-                    net.inject(0, i, TmMsg::Request(p), 1);
-                }
-            },
-            |net| log_views(net.actors().map(|a| &a.log)),
-        );
-    }
+    let cfg = TendermintConfig::equal(4);
+    chaos_run(|| (0..4).map(|_| TendermintNode::<u64>::new(cfg.clone())).collect());
 }
 
 #[test]
 fn chaos_paxos() {
-    for seed in SEEDS {
-        let cfg = PaxosConfig::new(3);
-        let actors = (0..3).map(|i| PaxosNode::<u64>::new(cfg.clone(), i)).collect();
-        chaos_run(
-            actors,
-            seed,
-            true,
-            1,
-            |net, p| {
-                for i in 0..net.len() {
-                    net.inject(0, i, PaxosMsg::Request(p), 1);
-                }
-            },
-            |net| log_views(net.actors().map(|a| &a.log)),
-        );
-    }
+    let cfg = PaxosConfig::new(3);
+    chaos_run(|| (0..3).map(|i| PaxosNode::<u64>::new(cfg.clone(), i)).collect());
 }
 
 // ---------------------------------------------------------------------

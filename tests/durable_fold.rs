@@ -15,7 +15,8 @@ use proptest::prelude::*;
 
 use pbc_consensus::pbft::{PbftConfig, PbftReplica};
 use pbc_consensus::raft::{RaftConfig, RaftNode};
-use pbc_consensus::{DurableNet, OrderingActor, OrderingCluster, Payload, PersistPayload};
+use pbc_consensus::PersistPayload;
+use pbc_consensus::{DurableNet, OrderingActor, OrderingCluster, OverNetwork, Payload};
 use pbc_sim::{Durable, NemesisOp, NetworkConfig};
 use pbc_store::{FaultFs, NodeStore, Recovery, StoreConfig, Vfs, Wal};
 

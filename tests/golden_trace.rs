@@ -177,7 +177,7 @@ fn trace_digest_is_seed_sensitive() {
 /// which would silently fork durable experiments from their seeds.
 #[test]
 fn durable_store_does_not_perturb_golden_schedule() {
-    use pbc_consensus::{DurableNet, OrderingCluster};
+    use pbc_consensus::{DurableNet, OrderingCluster, OverNetwork};
     let actors: Vec<PbftReplica<u64>> =
         (0..4).map(|_| PbftReplica::new(PbftConfig::new(4))).collect();
     let stores = (0..4u64)

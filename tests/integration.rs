@@ -6,16 +6,6 @@ use pbc_ledger::StateStore;
 use pbc_types::Transaction;
 use pbc_workload::PaymentWorkload;
 
-const ALL_CONSENSUS: [ConsensusKind; 7] = [
-    ConsensusKind::Pbft,
-    ConsensusKind::Ibft,
-    ConsensusKind::HotStuff,
-    ConsensusKind::Tendermint,
-    ConsensusKind::Raft,
-    ConsensusKind::Paxos,
-    ConsensusKind::MinBft,
-];
-
 const ALL_ARCH: [ArchKind; 8] = [
     ArchKind::Ox,
     ArchKind::Oxii,
@@ -57,7 +47,7 @@ fn run_chain(
 #[test]
 fn full_matrix_replicas_identical() {
     let w = PaymentWorkload { accounts: 64, theta: 0.4, ..Default::default() };
-    for consensus in ALL_CONSENSUS {
+    for consensus in ConsensusKind::ALL {
         for arch in ALL_ARCH {
             let (chain, report) = run_chain(consensus, arch, w.generate(0, 16), w.initial_state());
             assert!(report.consensus_complete, "{consensus:?}/{arch:?} stalled");
