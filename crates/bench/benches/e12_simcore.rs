@@ -5,9 +5,7 @@
 //! PBFT at 32 is the benchmark's `order-pbft32-ox` cluster),
 //! pure broadcast fan-out, and the timer-heavy chaos workload from the
 //! nemesis suite. These are the paths the PR 2 scheduler overhaul
-//! (timer wheel + zero-copy broadcast) optimizes; `sweep --baseline`
-//! snapshots the PBFT/HotStuff/Raft rows at n ∈ {4, 16, 64} and the
-//! other workloads into `BENCH_PR2.json` for regression.
+//! (timer wheel + zero-copy broadcast) optimizes.
 //! `e12_payload` measures what the protocols carry through that loop:
 //! `Batch` clone/digest/wire-size and whole PBFT/Raft runs over batches.
 //! `e12_block_path` measures what a replica does with a decided batch:

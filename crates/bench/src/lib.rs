@@ -13,7 +13,6 @@
 
 pub mod e2e;
 pub mod persist;
-pub mod real;
 pub mod simcore;
 pub mod vm;
 

@@ -1,6 +1,5 @@
 //! `persist()` on a growing decided log: the rig behind criterion group
-//! `e12_persist` and the `persist_ms_at_*` / `checkpoint_bytes_at_*`
-//! rows of `sweep --store`.
+//! `e12_persist` and the checkpoint-bytes gate in this module's tests.
 //!
 //! One PBFT cluster (n = 4) over four `NodeStore`s decides batches two
 //! at a time with a `persist()` after each pair — the shape of the
@@ -132,4 +131,24 @@ pub fn persist_at(disk: &Disk, len: usize, samples: usize) -> (Duration, u64) {
         bytes = appended;
     }
     (total / samples.max(1) as u32, bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `persist()` writes what changed, not what exists: the checkpoint
+    /// bytes one call appends at a decided log of 512 stay within 3× of
+    /// those at 8. `FaultFs` counts the same bytes a real disk does.
+    #[test]
+    fn checkpoint_bytes_per_persist_do_not_grow_with_the_decided_log() {
+        let (_, at_8) = persist_at(&Disk::Fault, 8, 1);
+        let (_, at_512) = persist_at(&Disk::Fault, 512, 1);
+        assert!(at_8 > 0, "persist() at a decided log of 8 appended nothing");
+        assert!(
+            at_512 <= 3 * at_8,
+            "persist() writes what exists, not what changed: {at_512} checkpoint bytes per \
+             call at a decided log of 512, {at_8} at 8"
+        );
+    }
 }

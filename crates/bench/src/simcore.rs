@@ -1,5 +1,4 @@
-//! Simulator-core workloads shared by the `e12_simcore` bench and the
-//! `sweep --baseline` snapshot.
+//! Simulator-core workloads behind the `e12_simcore` bench.
 //!
 //! Four workloads exercise the hot paths of the event loop:
 //!
@@ -22,9 +21,9 @@
 //!
 //! # Example
 //!
-//! The `sweep --metrics` mode is this, per protocol: install a trace
-//! sink, run a workload, read the per-protocol metrics registry back out
-//! of the sink.
+//! The message-complexity test in this module is this, per protocol:
+//! install a trace sink, run a workload, read the per-protocol metrics
+//! registry back out of the sink.
 //!
 //! ```
 //! use pbc_bench::simcore::consensus_run;
@@ -362,5 +361,35 @@ mod tests {
         let again = cancel_churn(16, 0xC0FE, 200);
         assert_eq!(stats.events, again.events);
         assert_eq!(stats.decided, again.decided);
+    }
+
+    /// §2.3.3 at n = 16: every protocol decides every request and traces
+    /// its commits under its own registry name, and messages per commit
+    /// order Raft < HotStuff < PBFT — all-to-all PBFT is quadratic in n,
+    /// HotStuff's votes to the leader linear, Raft's leader-to-followers
+    /// replication linear with one phase.
+    #[test]
+    fn every_protocol_decides_under_its_own_label_and_message_complexity_orders() {
+        const N: usize = 16;
+        const REQUESTS: u64 = 30;
+        let mut msgs_per_commit = Vec::new();
+        for kind in ConsensusKind::ALL {
+            let name = kind.registry_name();
+            pbc_trace::install(pbc_trace::TraceSink::new(64 * 1024));
+            let stats = consensus_run(kind, N, 0xBA5E, REQUESTS);
+            let metrics = pbc_trace::uninstall().expect("installed above").metrics().clone();
+            assert_eq!(stats.decided, REQUESTS, "{name} n={N} must decide every request");
+            assert_eq!(metrics.protocols(), [name], "{name} must trace under its own name");
+            let commits = metrics.proto(name).expect("label checked above").commits;
+            assert!(commits >= REQUESTS * N as u64, "{name}: {commits} commits traced");
+            msgs_per_commit.push((name, metrics.msgs_per_commit(name)));
+        }
+        let of = |p: &str| msgs_per_commit.iter().find(|(q, _)| *q == p).expect("registered").1;
+        let (raft, hotstuff, pbft) = (of("raft"), of("hotstuff"), of("pbft"));
+        assert!(
+            raft < hotstuff && hotstuff < pbft,
+            "message complexity shape broken at n={N}: raft {raft:.1}, hotstuff {hotstuff:.1}, \
+             pbft {pbft:.1}"
+        );
     }
 }

@@ -32,6 +32,17 @@ pub enum LeaderPolicy {
     RotatePerHeight,
 }
 
+impl LeaderPolicy {
+    /// The protocol label a replica's trace events carry: its registry
+    /// name, so IBFT's commits are counted as IBFT's and not PBFT's.
+    pub const fn label(self) -> &'static str {
+        match self {
+            LeaderPolicy::FixedPerView => "pbft",
+            LeaderPolicy::RotatePerHeight => "ibft",
+        }
+    }
+}
+
 /// Static configuration shared by all replicas.
 #[derive(Clone, Debug)]
 pub struct PbftConfig {
@@ -354,7 +365,7 @@ impl<P: Payload> PbftReplica<P> {
         slot.accepted = Some((view, digest, payload));
         slot.sent_commit = false;
         self.assigned.insert(digest, seq);
-        hooks::phase("pbft", ctx.self_id, ctx.now, view, "pre-prepared");
+        hooks::phase(self.cfg.policy.label(), ctx.self_id, ctx.now, view, "pre-prepared");
         ctx.broadcast(PbftMsg::Prepare { view, seq, digest });
         self.check_progress(seq, ctx);
     }
@@ -375,7 +386,7 @@ impl<P: Payload> PbftReplica<P> {
         let (view, digest) = (*view, *digest);
         if !slot.sent_commit && slot.prepares.get(&(view, digest)).is_some_and(|s| s.len() >= q) {
             slot.sent_commit = true;
-            hooks::phase("pbft", ctx.self_id, ctx.now, view, "prepared");
+            hooks::phase(self.cfg.policy.label(), ctx.self_id, ctx.now, view, "prepared");
             ctx.broadcast(PbftMsg::Commit { view, seq, digest });
         }
         let committed = slot.commits.get(&(view, digest)).is_some_and(|s| s.len() >= q);
@@ -384,7 +395,7 @@ impl<P: Payload> PbftReplica<P> {
             let payload = payload.clone();
             self.pending.remove(&digest);
             self.delivered_digests.insert(digest);
-            hooks::commit("pbft", ctx.self_id, ctx.now, seq, digest);
+            hooks::commit(self.cfg.policy.label(), ctx.self_id, ctx.now, seq, digest);
             self.log.decide(seq, payload, ctx.now);
             // Rotate mode: the next height's proposer may now act.
             self.try_propose(ctx);
@@ -419,7 +430,7 @@ impl<P: Payload> PbftReplica<P> {
         self.view += 1;
         self.view_changes += 1;
         self.assigned.clear();
-        hooks::view_change("pbft", ctx.self_id, ctx.now, self.view);
+        hooks::view_change(self.cfg.policy.label(), ctx.self_id, ctx.now, self.view);
         ctx.broadcast(PbftMsg::ViewChange {
             new_view: self.view,
             prepared: self.prepared_undecided(),
@@ -480,7 +491,7 @@ impl<P: Payload> PbftReplica<P> {
         }
         self.next_assign = max_seq;
         let list: Vec<(u64, P)> = proposals.into_iter().collect();
-        hooks::leader("pbft", ctx.self_id, ctx.now, self.view);
+        hooks::leader(self.cfg.policy.label(), ctx.self_id, ctx.now, self.view);
         ctx.broadcast(PbftMsg::NewView { view: self.view, proposals: list });
     }
 }
@@ -545,7 +556,7 @@ impl<P: Payload> Actor for PbftReplica<P> {
                     self.view = *new_view;
                     self.view_changes += 1;
                     self.assigned.clear();
-                    hooks::view_change("pbft", ctx.self_id, ctx.now, *new_view);
+                    hooks::view_change(self.cfg.policy.label(), ctx.self_id, ctx.now, *new_view);
                     ctx.broadcast(PbftMsg::ViewChange {
                         new_view: *new_view,
                         prepared: self.prepared_undecided(),
@@ -567,7 +578,7 @@ impl<P: Payload> Actor for PbftReplica<P> {
                     self.pending.remove(&digest);
                     self.delivered_digests.insert(digest);
                     self.slots.entry(*seq).or_default().decided = true;
-                    hooks::commit("pbft", ctx.self_id, ctx.now, *seq, digest);
+                    hooks::commit(self.cfg.policy.label(), ctx.self_id, ctx.now, *seq, digest);
                     self.log.decide(*seq, payload.clone(), ctx.now);
                     self.arm_timer_if_pending(ctx);
                 }

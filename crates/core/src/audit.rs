@@ -11,7 +11,8 @@
 //! sequential replay.
 //!
 //! Recording is opt-in (`NetworkBuilder::with_audit`) so benchmark hot
-//! paths pay nothing; tests and `sweep --audit` turn it on.
+//! paths pay nothing; tests (`tests/matrix.rs` over every combo) turn it
+//! on.
 
 use pbc_crypto::Hash;
 use pbc_types::TxId;

@@ -5,7 +5,8 @@
 //! run of each from the same seed must agree on everything consensus
 //! determines: the committed batch sequence and the consensus-level
 //! seal metadata. This module holds the extraction both backends share
-//! so the `sweep --real` cross-check compares like with like:
+//! so the sim-vs-TCP cross-check (`tests/real_net.rs`) compares like
+//! with like:
 //!
 //! * [`seal_proposer`] — the one rule assigning a proposer to a slot,
 //!   used by the simulator's seal pinning and by the deployment-side

@@ -20,7 +20,7 @@
 //! sees the same `on_message`/`on_timer` callbacks and emits the same
 //! effects; only the interpreter changed. That is the whole point:
 //! a commit sequence produced here and one produced by the simulator
-//! from the same seed can be compared row by row (`sweep --real`).
+//! from the same seed can be compared row by row (`tests/real_net.rs`).
 //!
 //! Every thread blocks on the one event source it serves, and both its
 //! work and its stop arrive through that source — no thread sleeps to

@@ -12,7 +12,8 @@
 //!
 //! The crate exists for the cross-check: a committed batch sequence
 //! produced over TCP must match the one the simulator produces from
-//! the same seed (`sweep --real`, `tests/real_net.rs`). Where the two
+//! the same seed (`tests/real_net.rs`, and the `tcp-pbft4` benchmark
+//! workload before it times anything). Where the two
 //! backends disagree, one of them is wrong — historically the
 //! deployment side, which is why the wire codec rejects zero-length
 //! and oversized frames *before* allocating and why every read/write

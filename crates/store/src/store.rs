@@ -740,10 +740,23 @@ mod tests {
         drop(store);
         // Cold reopen from disk, as a restarted process would.
         let fs = crate::RealFs::new(&dir).unwrap();
-        let (_store, rec) = NodeStore::open(Box::new(fs), StoreConfig::default()).unwrap();
+        let (store, rec) = NodeStore::open(Box::new(fs), StoreConfig::default()).unwrap();
         assert_eq!(rec.checkpoint.as_deref(), Some(b"real-cp".as_slice()));
         assert_eq!(rec.blocks.len(), 6);
         assert_eq!(rec.blocks[3].1, b"real-3".to_vec());
+        drop(store);
+        // A torn append on the real WAL file: a length prefix promising
+        // 64 bytes, then the power dies after 3. Reopen cuts the tail.
+        let wal = dir.join(CHECKPOINT_WAL);
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes.extend_from_slice(&[0, 0, 0, 64, 0xDE, 0xAD, 0xBE]);
+        std::fs::write(&wal, &bytes).unwrap();
+        let fs = crate::RealFs::new(&dir).unwrap();
+        let (_store, rec) = NodeStore::open(Box::new(fs), StoreConfig::default()).unwrap();
+        assert!(rec.wal_torn_tail, "the torn append must be detected");
+        assert_eq!(rec.checkpoint.as_deref(), Some(b"real-cp".as_slice()));
+        assert_eq!(rec.blocks.len(), 6, "segment blocks survive a torn WAL");
+        assert!(rec.quarantined.is_empty() && rec.lost_seqs.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,16 +22,11 @@
 //! The simulator's hot path processes ~10M events/s and its golden-trace
 //! tests pin delivery order bit-for-bit, so tracing must be *pure
 //! observation*: no RNG draws, no allocation on the disabled path, no
-//! effect on event scheduling. Two guards enforce a zero-cost disabled
-//! path:
-//!
-//! * **runtime**: [`enabled`] is an `#[inline]` thread-local flag check;
-//!   [`emit`] takes a closure so the event value is never even
-//!   constructed unless a sink is installed (tracing is **off by
-//!   default** — nothing is recorded until [`install`] is called);
-//! * **compile time**: building this crate without the `capture` feature
-//!   (`default-features = false`) turns [`enabled`] into a constant
-//!   `false` and compiles every emission out of the binary.
+//! effect on event scheduling. The disabled path is one guard:
+//! [`enabled`] is an `#[inline]` thread-local flag check, and [`emit`]
+//! takes a closure so the event value is never even constructed unless a
+//! sink is installed (tracing is **off by default** — nothing is recorded
+//! until [`install`] is called).
 //!
 //! The sink is thread-local because the simulator is single-threaded and
 //! deterministic; independent simulations on different threads get
@@ -71,10 +66,8 @@ pub use event::{TraceEvent, TraceRecord};
 pub use metrics::{Histogram, MetricsRegistry, ProtoMetrics};
 pub use sink::TraceSink;
 
-#[cfg(feature = "capture")]
 use std::cell::{Cell, RefCell};
 
-#[cfg(feature = "capture")]
 thread_local! {
     /// Fast-path flag mirrored from `TL_SINK.is_some()`: one thread-local
     /// `Cell` read on the hot path instead of a `RefCell` borrow.
@@ -82,47 +75,26 @@ thread_local! {
     static TL_SINK: RefCell<Option<TraceSink>> = const { RefCell::new(None) };
 }
 
-/// True if a sink is installed on this thread (and the `capture` feature
-/// is compiled in). This is the hot-path guard: a single inlined
-/// thread-local flag read, checked before any event is constructed.
+/// True if a sink is installed on this thread. This is the hot-path
+/// guard: a single inlined thread-local flag read, checked before any
+/// event is constructed.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "capture")]
-    {
-        TL_ON.with(|c| c.get())
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        false
-    }
+    TL_ON.with(|c| c.get())
 }
 
 /// Installs `sink` as this thread's trace sink, enabling tracing.
 /// Replaces (and drops) any previously installed sink.
 pub fn install(sink: TraceSink) {
-    #[cfg(feature = "capture")]
-    {
-        TL_SINK.with(|s| *s.borrow_mut() = Some(sink));
-        TL_ON.with(|c| c.set(true));
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        let _ = sink;
-    }
+    TL_SINK.with(|s| *s.borrow_mut() = Some(sink));
+    TL_ON.with(|c| c.set(true));
 }
 
 /// Removes and returns this thread's sink, disabling tracing. Returns
-/// `None` if tracing was not enabled (or `capture` is compiled out).
+/// `None` if tracing was not enabled.
 pub fn uninstall() -> Option<TraceSink> {
-    #[cfg(feature = "capture")]
-    {
-        TL_ON.with(|c| c.set(false));
-        TL_SINK.with(|s| s.borrow_mut().take())
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        None
-    }
+    TL_ON.with(|c| c.set(false));
+    TL_SINK.with(|s| s.borrow_mut().take())
 }
 
 /// Records one event at logical time `at`. The closure is only invoked
@@ -130,58 +102,36 @@ pub fn uninstall() -> Option<TraceSink> {
 /// inlined flag check and no allocation or field packing.
 #[inline]
 pub fn emit(at: u64, f: impl FnOnce() -> TraceEvent) {
-    #[cfg(feature = "capture")]
-    {
-        if !enabled() {
-            return;
+    if !enabled() {
+        return;
+    }
+    TL_SINK.with(|s| {
+        if let Some(sink) = s.borrow_mut().as_mut() {
+            sink.push(at, f());
         }
-        TL_SINK.with(|s| {
-            if let Some(sink) = s.borrow_mut().as_mut() {
-                sink.push(at, f());
-            }
-        });
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        let _ = (at, f);
-    }
+    });
 }
 
 /// Clones the most recent `n` records from the installed sink (oldest
 /// first), or an empty vector if tracing is disabled. This is the
 /// last-N-events window nemesis violation reports embed.
 pub fn recent(n: usize) -> Vec<TraceRecord> {
-    #[cfg(feature = "capture")]
-    {
-        TL_SINK.with(|s| {
-            s.borrow().as_ref().map_or_else(Vec::new, |sink| {
-                let records = sink.records();
-                let skip = records.len().saturating_sub(n);
-                records[skip..].to_vec()
-            })
+    TL_SINK.with(|s| {
+        s.borrow().as_ref().map_or_else(Vec::new, |sink| {
+            let records = sink.records();
+            let skip = records.len().saturating_sub(n);
+            records[skip..].to_vec()
         })
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        let _ = n;
-        Vec::new()
-    }
+    })
 }
 
 /// Clones the installed sink's metrics registry, or `None` if tracing is
 /// disabled.
 pub fn metrics_snapshot() -> Option<MetricsRegistry> {
-    #[cfg(feature = "capture")]
-    {
-        TL_SINK.with(|s| s.borrow().as_ref().map(|sink| sink.metrics().clone()))
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        None
-    }
+    TL_SINK.with(|s| s.borrow().as_ref().map(|sink| sink.metrics().clone()))
 }
 
-#[cfg(all(test, feature = "capture"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

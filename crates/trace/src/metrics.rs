@@ -75,7 +75,7 @@ impl Histogram {
         self.max
     }
 
-    /// `p50 / p99 / max / mean / n` on one line, for `sweep --metrics`.
+    /// `p50 / p99 / max / mean / n` on one line.
     pub fn summary(&self) -> String {
         format!(
             "p50={} p99={} max={} mean={:.1} n={}",
@@ -189,8 +189,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Multi-line human-readable summary (one block per protocol), the
-    /// payload of `sweep --metrics`.
+    /// Multi-line human-readable summary (one block per protocol).
     pub fn summary(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

@@ -85,6 +85,40 @@ fn pbft_survives_moderate_message_loss() {
     }
 }
 
+/// Every pair of crashed replicas at n = 7 (f = 2; a pair may name one
+/// replica twice) under 40 seeds: the survivors decide all three
+/// requests and agree on their order.
+#[test]
+fn pbft_survives_every_crash_pair() {
+    for seed in 0..40u64 {
+        for ca in 0..7 {
+            for cb in 0..7 {
+                let mut net = pbft_cluster(7, seed);
+                net.crash(ca);
+                net.crash(cb);
+                for p in [5u64, 9, 13] {
+                    submit_pbft(&mut net, p);
+                }
+                assert!(
+                    net.run_until_all(3_000_000, |r| r.log.len() >= 3),
+                    "liveness: seed={seed} crashes=({ca},{cb})"
+                );
+                let alive: Vec<usize> = (0..7).filter(|&i| !net.is_crashed(i)).collect();
+                let log = |i: usize| -> Vec<u64> {
+                    net.actor(i).log.delivered().iter().map(|(_, p, _)| *p).collect()
+                };
+                for &i in &alive[1..] {
+                    assert_eq!(
+                        log(i),
+                        log(alive[0]),
+                        "agreement: seed={seed} crashes=({ca},{cb}) node {i}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn raft_partitioned_leader_steps_down_and_cluster_heals() {
     let mut net = raft_cluster(5, 4, 0.0);
