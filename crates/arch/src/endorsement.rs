@@ -15,6 +15,13 @@
 //! configured Byzantine for tests), results are signed with the org's
 //! key and checked against the policy; only policy-satisfying
 //! transactions proceed to ordering and validation.
+//!
+//! Execution is a pure function of the transaction and the state, and
+//! every simulated org endorses against the same state, so the pipeline
+//! executes and digests the honest result once per transaction; each
+//! org still signs with its own key. The verifier digests each
+//! *distinct* result once — equal results have equal digests — and
+//! still checks every signature against a digest it computed itself.
 
 use crate::pipeline::{seal_block, BlockOutcome, BlockSeal, ExecutionPipeline};
 use pbc_crypto::schnorr_sig::{verify_batch, BatchItem, SchnorrSignature, SigningKey};
@@ -28,14 +35,20 @@ use pbc_types::{BlockBody, EnterpriseId, Transaction};
 pub struct EndorsementPolicy {
     /// Organizations whose endorsers execute transactions.
     pub orgs: Vec<EnterpriseId>,
-    /// How many matching endorsements a transaction needs.
+    /// How many distinct orgs of `orgs` must endorse matching results.
     pub required: usize,
 }
 
 impl EndorsementPolicy {
-    /// `required`-of-`orgs`.
+    /// `required`-of-`orgs`; `orgs` must be distinct.
     pub fn new(orgs: Vec<EnterpriseId>, required: usize) -> Self {
         assert!(required >= 1 && required <= orgs.len(), "k-of-n needs 1 ≤ k ≤ n");
+        for (i, org) in orgs.iter().enumerate() {
+            assert!(
+                !orgs[..i].contains(org),
+                "k-of-n needs n distinct orgs, {org:?} is listed twice"
+            );
+        }
         EndorsementPolicy { orgs, required }
     }
 }
@@ -55,7 +68,7 @@ enum EndorserKeys {
 }
 
 /// An endorsement signature under either scheme.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EndorseSig {
     /// Keyed-hash signature (directory-verified).
     Hmac(Signature),
@@ -64,7 +77,7 @@ pub enum EndorseSig {
 }
 
 /// One org's signed endorsement of an execution result.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Endorsement {
     /// The endorsing organization.
     pub org: EnterpriseId,
@@ -93,12 +106,27 @@ fn result_digest(r: &ExecResult) -> pbc_crypto::Hash {
     pbc_crypto::sha256(enc.as_slice())
 }
 
+/// The verifier's digest of each endorsed result, in endorsement order.
+/// Equal results have equal digests, so each distinct result is digested
+/// once and its digest reused for the endorsements that repeat it.
+fn result_digests(endorsements: &[Endorsement]) -> Vec<pbc_crypto::Hash> {
+    let mut digests: Vec<pbc_crypto::Hash> = Vec::with_capacity(endorsements.len());
+    for (i, e) in endorsements.iter().enumerate() {
+        let digest = match endorsements[..i].iter().position(|p| p.result == e.result) {
+            Some(j) => digests[j],
+            None => result_digest(&e.result),
+        };
+        digests.push(digest);
+    }
+    digests
+}
+
 /// Why a transaction failed endorsement.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EndorseError {
-    /// Fewer than `required` matching endorsements.
+    /// Fewer than `required` policy orgs endorsed matching results.
     PolicyNotSatisfied {
-        /// Matching endorsements found.
+        /// Distinct policy orgs in the largest agreeing set.
         matching: usize,
         /// Endorsements required.
         required: usize,
@@ -150,21 +178,30 @@ impl EndorsingPipeline {
     }
 
     /// Simulates endorsement of `tx` by every org in the policy.
+    ///
+    /// The honest result is executed and digested once; a Byzantine org
+    /// corrupts its own copy and digests that. Every org signs its
+    /// digest with its own key.
     pub fn endorse(&self, tx: &Transaction) -> Vec<Endorsement> {
+        let honest = pbc_ledger::execute(tx, &self.state);
+        let honest_digest = result_digest(&honest);
         self.policy
             .orgs
             .iter()
             .map(|&org| {
-                let mut result = pbc_ledger::execute(tx, &self.state);
-                if self.byzantine_orgs.contains(&org) {
+                let (result, digest) = if self.byzantine_orgs.contains(&org) {
                     // A lying endorser corrupts the proposed writes
                     // (deletes included: a resurrected value is just as
                     // much a lie as a corrupted one).
-                    for (_, v) in result.write_set.iter_mut() {
+                    let mut lie = honest.clone();
+                    for (_, v) in lie.write_set.iter_mut() {
                         *v = Some(pbc_types::Value::from_static(b"corrupted"));
                     }
-                }
-                let digest = result_digest(&result);
+                    let digest = result_digest(&lie);
+                    (lie, digest)
+                } else {
+                    (honest.clone(), honest_digest)
+                };
                 let signature = match &self.keys {
                     EndorserKeys::Hmac(directory) => {
                         let key = directory.key(org.0 as u64).expect("org registered");
@@ -195,8 +232,7 @@ impl EndorsingPipeline {
         &self,
         endorsements: &[Endorsement],
     ) -> Result<Vec<pbc_crypto::Hash>, EndorseError> {
-        let digests: Vec<pbc_crypto::Hash> =
-            endorsements.iter().map(|e| result_digest(&e.result)).collect();
+        let digests = result_digests(endorsements);
         match &self.keys {
             EndorserKeys::Hmac(directory) => {
                 for (e, digest) in endorsements.iter().zip(&digests) {
@@ -227,17 +263,21 @@ impl EndorsingPipeline {
         Ok(digests)
     }
 
-    /// Checks the policy: at least `required` signature-valid endorsements
-    /// with identical result digests. Returns the agreed result.
+    /// Checks the policy: signature-valid endorsements with identical
+    /// result digests from at least `required` distinct policy orgs.
+    /// Returns the agreed result.
     pub fn check_policy(&self, endorsements: &[Endorsement]) -> Result<ExecResult, EndorseError> {
         let digests = self.verify_signatures(endorsements)?;
         self.check_matching(endorsements, &digests).cloned()
     }
 
     /// The digest-agreement half of the policy: at least `required`
-    /// identical result digests. `digests` are the verifier's own, one
-    /// per endorsement ([`EndorsingPipeline::verify_signatures`]). The
-    /// largest agreeing set wins, the earliest endorsed among equals.
+    /// policy orgs endorsing one result digest. `digests` are the
+    /// verifier's own, one per endorsement
+    /// ([`EndorsingPipeline::verify_signatures`]). An org counts once
+    /// however often it endorses, and an org outside the policy not at
+    /// all. The largest agreeing set wins, the earliest endorsed among
+    /// equals.
     fn check_matching<'a>(
         &self,
         endorsements: &'a [Endorsement],
@@ -247,7 +287,10 @@ impl EndorsingPipeline {
         for (i, digest) in digests.iter().enumerate() {
             // A digest is counted where it first occurs.
             if !digests[..i].contains(digest) {
-                let count = digests[i..].iter().filter(|d| *d == digest).count();
+                let endorsed = |org: &EnterpriseId| {
+                    endorsements.iter().zip(digests).any(|(e, d)| e.org == *org && d == digest)
+                };
+                let count = self.policy.orgs.iter().filter(|org| endorsed(org)).count();
                 if count > matching {
                     (matching, agreed) = (count, i);
                 }
@@ -279,12 +322,8 @@ impl EndorsingPipeline {
             EndorserKeys::Schnorr(keys) => {
                 // Digests first, so the batch items can borrow their
                 // bytes; `owner[i]` is the transaction item `i` belongs to.
-                let digests: Vec<Vec<pbc_crypto::Hash>> = per_tx
-                    .iter()
-                    .map(|endorsements| {
-                        endorsements.iter().map(|e| result_digest(&e.result)).collect()
-                    })
-                    .collect();
+                let digests: Vec<Vec<pbc_crypto::Hash>> =
+                    per_tx.iter().map(|endorsements| result_digests(endorsements)).collect();
                 let mut ok = vec![true; per_tx.len()];
                 let mut owner: Vec<usize> = Vec::new();
                 let mut items = Vec::new();
@@ -494,6 +533,143 @@ mod tests {
     #[should_panic(expected = "k-of-n")]
     fn zero_of_n_policy_rejected() {
         EndorsementPolicy::new(orgs(3), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct orgs")]
+    fn policy_listing_an_org_twice_rejected() {
+        EndorsementPolicy::new(vec![EnterpriseId(0), EnterpriseId(0), EnterpriseId(1)], 2);
+    }
+
+    fn pipeline(schnorr: bool, policy: EndorsementPolicy, state: StateStore) -> EndorsingPipeline {
+        if schnorr {
+            EndorsingPipeline::new_schnorr(policy, 9, state)
+        } else {
+            EndorsingPipeline::new(policy, 9, state)
+        }
+    }
+
+    /// A k-of-n policy counts orgs, not endorsements: one org's valid
+    /// endorsement sent twice is one vote, and an org outside the policy
+    /// is none, even though it holds a valid key (keys are derived for
+    /// every id up to the highest policy org).
+    #[test]
+    fn policy_counts_each_policy_org_once() {
+        for schnorr in [false, true] {
+            let p = pipeline(schnorr, EndorsementPolicy::new(orgs(3), 2), seeded());
+            let e = p.endorse(&transfer(1, 10));
+            let one_vote = Err(EndorseError::PolicyNotSatisfied { matching: 1, required: 2 });
+            assert_eq!(p.check_policy(&[e[0].clone(), e[0].clone()]).map(|_| ()), one_vote);
+            assert!(p.check_policy(&[e[0].clone(), e[1].clone()]).is_ok());
+
+            let gapped_orgs = vec![EnterpriseId(0), EnterpriseId(2)];
+            let gapped = pipeline(schnorr, EndorsementPolicy::new(gapped_orgs, 2), seeded());
+            assert_eq!(gapped.check_policy(&[e[0].clone(), e[1].clone()]).map(|_| ()), one_vote);
+            assert!(gapped.check_policy(&[e[0].clone(), e[2].clone()]).is_ok());
+        }
+    }
+
+    /// Deduplicating digests never deduplicates a signature check: with
+    /// three endorsements of one result, a bad signature at any position
+    /// is rejected and blamed on its org, under either scheme, per
+    /// transaction and per block.
+    #[test]
+    fn bad_signature_among_equal_results_rejected() {
+        for schnorr in [false, true] {
+            let p = pipeline(schnorr, EndorsementPolicy::new(orgs(3), 2), seeded());
+            for bad in 0..3 {
+                let mut e = p.endorse(&transfer(1, 10));
+                assert!(e.iter().all(|x| x.result == e[0].result), "honest orgs agree");
+                match &mut e[bad].signature {
+                    EndorseSig::Hmac(sig) => sig.0 .0[31] ^= 1,
+                    EndorseSig::Schnorr(sig) => sig.s = sig.s.add(pbc_crypto::group::Scalar::ONE),
+                }
+                let culprit = EnterpriseId(bad as u32);
+                assert_eq!(p.check_policy(&e), Err(EndorseError::BadSignature(culprit)));
+                assert_eq!(p.verify_block_signatures(&[e]), vec![None]);
+            }
+        }
+    }
+
+    /// The per-org endorsing code the shared-execution path replaced:
+    /// every org executes, corrupts if Byzantine, digests and signs.
+    fn endorse_per_org(p: &EndorsingPipeline, tx: &Transaction) -> Vec<Endorsement> {
+        p.policy
+            .orgs
+            .iter()
+            .map(|&org| {
+                let mut result = pbc_ledger::execute(tx, &p.state);
+                if p.byzantine_orgs.contains(&org) {
+                    for (_, v) in result.write_set.iter_mut() {
+                        *v = Some(pbc_types::Value::from_static(b"corrupted"));
+                    }
+                }
+                let digest = result_digest(&result);
+                let signature = match &p.keys {
+                    EndorserKeys::Hmac(directory) => {
+                        EndorseSig::Hmac(directory.key(org.0 as u64).unwrap().sign(&digest.0))
+                    }
+                    EndorserKeys::Schnorr(keys) => {
+                        EndorseSig::Schnorr(keys[org.0 as usize].sign_deterministic(&digest.0))
+                    }
+                };
+                Endorsement { org, result, signature }
+            })
+            .collect()
+    }
+
+    /// A payment block over four accounts of 100: transfers (some
+    /// overdrawn, so aborted with an empty write set), deletes and
+    /// increments.
+    fn payment(id: u64, (kind, from, to, amount): (u8, u8, u8, u64)) -> Transaction {
+        let account = |i: u8| format!("acct{}", i % 4);
+        let op = match kind % 3 {
+            0 => Op::Transfer { from: account(from), to: account(to), amount },
+            1 => Op::Delete { key: account(from) },
+            _ => Op::Incr { key: account(to), delta: amount as i64 - 75 },
+        };
+        Transaction::new(TxId(id), ClientId(0), vec![op])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Executing and digesting once changes no byte: over random
+        /// payment blocks, policies, Byzantine subsets and both schemes,
+        /// `endorse` equals the per-org reference endorsement for
+        /// endorsement, and the verifier's digests equal one digest per
+        /// endorsement, per transaction and per block.
+        #[test]
+        fn shared_execution_matches_per_org_endorsing(
+            n in 1..=4u32,
+            k in 0..4usize,
+            byzantine in proptest::prelude::any::<u8>(),
+            schnorr in proptest::prelude::any::<bool>(),
+            block in proptest::collection::vec(
+                (0..3u8, 0..4u8, 0..4u8, 0..150u64),
+                1..=8,
+            ),
+        ) {
+            let mut state = StateStore::new();
+            for i in 0..4u32 {
+                state.put(format!("acct{i}"), balance_value(100), Version::new(0, i));
+            }
+            let policy = EndorsementPolicy::new(orgs(n), 1 + k % n as usize);
+            let mut p = pipeline(schnorr, policy, state);
+            p.byzantine_orgs = (0..n).filter(|o| byzantine >> o & 1 == 1).map(EnterpriseId).collect();
+            let txs: Vec<Transaction> =
+                block.into_iter().enumerate().map(|(i, op)| payment(i as u64, op)).collect();
+            let per_tx: Vec<Vec<Endorsement>> = txs.iter().map(|tx| p.endorse(tx)).collect();
+            let mut expected = Vec::new();
+            for (tx, endorsements) in txs.iter().zip(&per_tx) {
+                proptest::prop_assert_eq!(endorsements, &endorse_per_org(&p, tx));
+                let digests: Vec<pbc_crypto::Hash> =
+                    endorsements.iter().map(|e| result_digest(&e.result)).collect();
+                proptest::prop_assert_eq!(p.verify_signatures(endorsements), Ok(digests.clone()));
+                expected.push(Some(digests));
+            }
+            proptest::prop_assert_eq!(p.verify_block_signatures(&per_tx), expected);
+        }
     }
 
     /// `n` disjoint account pairs so multi-tx blocks carry no read-write

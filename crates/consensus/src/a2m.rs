@@ -16,7 +16,7 @@
 //! protocol actors (including Byzantine test actors) can only obtain
 //! attestations through [`Usig::attest`], which they cannot rewind.
 
-use pbc_crypto::hmac::hmac_sha256;
+use pbc_crypto::hmac::HmacKey;
 use pbc_crypto::Hash;
 use std::collections::{HashMap, HashSet};
 
@@ -51,10 +51,10 @@ fn module_key(seed: u64, node: usize) -> [u8; 32] {
 /// The per-node trusted module: key + monotonic counter.
 ///
 /// The host can request attestations but can never rewind the counter or
-/// extract the key.
+/// extract the key (its `Debug` output shows none of it).
 #[derive(Debug)]
 pub struct Usig {
-    key: [u8; 32],
+    key: HmacKey,
     counter: u64,
     node: usize,
 }
@@ -62,7 +62,7 @@ pub struct Usig {
 impl Usig {
     /// Provisions a module for `node` (trusted setup with shared `seed`).
     pub fn new(seed: u64, node: usize) -> Self {
-        Usig { key: module_key(seed, node), counter: 0, node }
+        Usig { key: HmacKey::new(&module_key(seed, node)), counter: 0, node }
     }
 
     /// Re-provisions the module after a host crash: the counter lives in
@@ -71,13 +71,13 @@ impl Usig {
     /// recovered primary re-attest old positions, which is exactly the
     /// equivocation the hardware exists to prevent.)
     pub fn resume(seed: u64, node: usize, counter: u64) -> Self {
-        Usig { key: module_key(seed, node), counter, node }
+        Usig { key: HmacKey::new(&module_key(seed, node)), counter, node }
     }
 
     /// Attests `digest` with the next counter value.
     pub fn attest(&mut self, digest: u64) -> Attestation {
         self.counter += 1;
-        let mac = hmac_sha256(&self.key, &mac_input(self.node, self.counter, digest));
+        let mac = self.key.mac(&mac_input(self.node, self.counter, digest));
         Attestation { node: self.node, counter: self.counter, digest, mac }
     }
 
@@ -96,21 +96,21 @@ impl Usig {
 /// tracks used counters per node to reject replays/equivocation.
 #[derive(Clone, Debug, Default)]
 pub struct A2mVerifier {
-    keys: HashMap<usize, [u8; 32]>,
+    keys: HashMap<usize, HmacKey>,
     used: HashMap<usize, HashSet<u64>>,
 }
 
 impl A2mVerifier {
     /// Builds a verifier for nodes `0..n` provisioned with `seed`.
     pub fn new(seed: u64, n: usize) -> Self {
-        let keys = (0..n).map(|i| (i, module_key(seed, i))).collect();
+        let keys = (0..n).map(|i| (i, HmacKey::new(&module_key(seed, i)))).collect();
         A2mVerifier { keys, used: HashMap::new() }
     }
 
     /// Verifies the MAC only (no freshness tracking).
     pub fn mac_valid(&self, att: &Attestation) -> bool {
         match self.keys.get(&att.node) {
-            Some(key) => hmac_sha256(key, &mac_input(att.node, att.counter, att.digest)) == att.mac,
+            Some(key) => key.mac(&mac_input(att.node, att.counter, att.digest)) == att.mac,
             None => false,
         }
     }
@@ -248,6 +248,35 @@ mod tests {
         assert!(!rebuilt.verify_fresh(&c));
         let fresh = usig0.attest(4);
         assert!(rebuilt.verify_fresh(&fresh), "new attestations still verify");
+    }
+
+    /// One attestation's MAC, pinned: the module keys its MAC once, and
+    /// that changes no byte of what it attests.
+    #[test]
+    fn attestation_mac_is_pinned() {
+        let att = Usig::new(9, 2).attest(0xAB);
+        assert_eq!(
+            att.mac.to_hex(),
+            "cc6124735c4c81dcff70ba8b2eef9327c277b1514687191d77de863ec0d77cc9"
+        );
+    }
+
+    /// Neither the module nor the verifier prints a key, as bytes or as hex.
+    #[test]
+    fn debug_output_reveals_no_key() {
+        let mut usig = Usig::new(9, 2);
+        usig.attest(1);
+        let mut verifier = A2mVerifier::new(9, 4);
+        verifier.mark_used(2, 1);
+        let printed = [format!("{usig:?}"), format!("{verifier:?}")];
+        for node in 0..4 {
+            let key = module_key(9, node);
+            let hex: String = key.iter().map(|b| format!("{b:02x}")).collect();
+            for text in &printed {
+                assert!(!text.contains(&format!("{key:?}")), "key bytes printed: {text}");
+                assert!(!text.contains(&hex), "key hex printed: {text}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! nodes' messages is preserved.
 
 use crate::hash::Hash;
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -17,9 +17,9 @@ use std::collections::HashMap;
 /// authority). Workspace crates map their typed ids onto this.
 pub type SignerId = u64;
 
-/// A signing key: 32 secret bytes.
-#[derive(Clone, PartialEq, Eq)]
-pub struct SecretKey(pub [u8; 32]);
+/// A signing key: 32 secret bytes, keyed for HMAC once, when it is made.
+#[derive(Clone)]
+pub struct SecretKey(HmacKey);
 
 impl SecretKey {
     /// Derives a secret key deterministically from a seed and signer id.
@@ -30,12 +30,12 @@ impl SecretKey {
         let mut input = [0u8; 16];
         input[..8].copy_from_slice(&seed.to_be_bytes());
         input[8..].copy_from_slice(&id.to_be_bytes());
-        SecretKey(crate::sha256(&input).0)
+        SecretKey(HmacKey::new(&crate::sha256(&input).0))
     }
 
     /// Signs a message.
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        Signature(hmac_sha256(&self.0, msg))
+        Signature(self.0.mac(msg))
     }
 }
 
@@ -136,10 +136,23 @@ mod tests {
         assert!(!dir.verify(17, b"m", &sig));
     }
 
+    /// A signature is RFC 2104 HMAC-SHA256 under the derived key bytes:
+    /// keying once at derivation changes no signature.
+    #[test]
+    fn signature_is_the_hmac_of_the_derived_key() {
+        let mut input = [0u8; 16];
+        input[..8].copy_from_slice(&7u64.to_be_bytes());
+        input[8..].copy_from_slice(&2u64.to_be_bytes());
+        let bytes = crate::sha256(&input).0;
+        let sig = SecretKey::derive(7, 2).sign(b"block 9");
+        assert_eq!(sig.0, crate::hmac::hmac_sha256(&bytes, b"block 9"));
+    }
+
     #[test]
     fn derivation_is_deterministic_and_distinct() {
-        assert_eq!(SecretKey::derive(1, 2), SecretKey::derive(1, 2));
-        assert_ne!(SecretKey::derive(1, 2).0, SecretKey::derive(1, 3).0);
-        assert_ne!(SecretKey::derive(1, 2).0, SecretKey::derive(2, 2).0);
+        let sign = |seed, id| SecretKey::derive(seed, id).sign(b"m");
+        assert_eq!(sign(1, 2), sign(1, 2));
+        assert_ne!(sign(1, 2), sign(1, 3));
+        assert_ne!(sign(1, 2), sign(2, 2));
     }
 }
