@@ -94,10 +94,10 @@ fn result_digest(r: &ExecResult) -> pbc_crypto::Hash {
     enc.u64(r.tx_id.0);
     enc.u32(r.is_success() as u32);
     for (k, v) in &r.read_set {
-        enc.str(k).u64(v.height).u32(v.tx_index);
+        enc.str(k.as_str()).u64(v.height).u32(v.tx_index);
     }
     for (k, v) in &r.write_set {
-        enc.str(k);
+        enc.str(k.as_str());
         match v {
             Some(v) => enc.u32(1).bytes(v),
             None => enc.u32(0),
@@ -411,8 +411,8 @@ mod tests {
 
     fn seeded() -> StateStore {
         let mut s = StateStore::new();
-        s.put("a".into(), balance_value(100), Version::new(0, 0));
-        s.put("b".into(), balance_value(0), Version::new(0, 1));
+        s.put("a", balance_value(100), Version::new(0, 0));
+        s.put("b", balance_value(0), Version::new(0, 1));
         s
     }
 
@@ -422,6 +422,27 @@ mod tests {
             ClientId(0),
             vec![Op::Transfer { from: "a".into(), to: "b".into(), amount }],
         )
+    }
+
+    /// What endorsers sign, pinned: a result with reads, a put and a
+    /// delete, so every branch of the encoding is covered.
+    #[test]
+    fn result_digest_is_pinned() {
+        let t = Transaction::new(
+            TxId(7),
+            ClientId(0),
+            vec![
+                Op::Get { key: "ghost".into() },
+                Op::Transfer { from: "a".into(), to: "b".into(), amount: 30 },
+                Op::Delete { key: "c".into() },
+            ],
+        );
+        let r = pbc_ledger::execute(&t, &seeded());
+        assert!(r.is_success());
+        assert_eq!(
+            result_digest(&r).to_hex(),
+            "f8c1d9c9f04084af10a7b1e3f0d443de6f22c80565e8273cc632d4a68ac4326a"
+        );
     }
 
     #[test]

@@ -79,8 +79,8 @@ mod tests {
 
     fn seeded() -> StateStore {
         let mut s = StateStore::new();
-        s.put("a".into(), balance_value(100), Version::new(0, 0));
-        s.put("b".into(), balance_value(0), Version::new(0, 1));
+        s.put("a", balance_value(100), Version::new(0, 0));
+        s.put("b", balance_value(0), Version::new(0, 1));
         s
     }
 

@@ -422,9 +422,12 @@ fn audit_node(
         });
     }
     let root = batch.root();
-    let keys: Vec<String> = state.iter().map(|(k, _, _)| k.clone()).collect();
+    // Sampled by key order: the store iterates in an order that depends
+    // on interned key ids, which differ from process to process.
+    let mut keys: Vec<&str> = state.iter().map(|(k, _, _)| k.as_str()).collect();
+    keys.sort_unstable();
     for i in sample_indices(keys.len()) {
-        let key = &keys[i];
+        let key = keys[i];
         let proof = batch.prove_key(key).ok_or_else(|| AuditError::ProofFailed {
             node,
             reason: format!("no inclusion proof for present key {key:?}"),

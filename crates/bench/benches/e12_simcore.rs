@@ -127,15 +127,16 @@ fn bench_cancel_churn(c: &mut Criterion) {
 fn bench_depgraph(c: &mut Criterion) {
     header(
         "E12g: declared-footprint iteration (Op::reads/writes)",
-        "KeyRefs iterator vs the former per-call Vec<&str> allocation on the depgraph hot path",
+        "KeyRefs iterator vs the former per-call Vec<&str> allocation (conflicts_with, key resolution)",
     );
     let w = SmallBankWorkload { customers: 512, hotspot: 0.9, ..Default::default() };
     let txs = w.generate(0, 1_024);
     let mut g = c.benchmark_group("e12_depgraph");
     g.sample_size(if smoke() { 10 } else { 30 });
-    // The footprint traversal both `DependencyGraph::build` and
-    // `conflicts_with` perform, isolated: current allocation-free shape
-    // vs the former collect-into-a-Vec-per-call shape.
+    // The footprint traversal `conflicts_with` and a transaction's first
+    // key resolution (`Transaction::key_ids`) perform, isolated: current
+    // allocation-free shape vs the former collect-into-a-Vec-per-call
+    // shape. `DependencyGraph::build` reads the resolved ids instead.
     g.bench_function("keyrefs_iter", |b| {
         b.iter(|| {
             let mut acc = 0usize;

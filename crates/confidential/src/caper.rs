@@ -276,7 +276,7 @@ impl CaperNetwork {
     /// state holds another enterprise's private keys.
     pub fn confidentiality_holds(&self) -> bool {
         self.nodes.values().all(|node| {
-            node.state.iter().all(|(k, _, _)| match key_owner(k) {
+            node.state.iter().all(|(k, _, _)| match key_owner(k.as_str()) {
                 Some(owner) => owner == node.enterprise,
                 None => true,
             })
@@ -292,11 +292,11 @@ impl CaperNetwork {
         for &e in &self.enterprises {
             cross_seqs.push(self.dag.local_view(e).cross_sequence());
             let node = &self.nodes[&e];
-            let mut pub_entries: Vec<(&Key, &pbc_types::Value)> = node
+            let mut pub_entries: Vec<(&str, &pbc_types::Value)> = node
                 .state
                 .iter()
-                .filter(|(k, _, _)| key_owner(k).is_none())
-                .map(|(k, v, _)| (k, v))
+                .map(|(k, v, _)| (k.as_str(), v))
+                .filter(|(k, _)| key_owner(k).is_none())
                 .collect();
             pub_entries.sort_by(|a, b| a.0.cmp(b.0));
             pub_digests.push(format!("{pub_entries:?}"));

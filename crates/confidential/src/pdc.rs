@@ -153,8 +153,8 @@ impl PdcChannel {
             for (k, v) in &r.write_set {
                 let ver = Version::new(height.0, state_version);
                 match v {
-                    Some(v) => self.public_state.put(k.clone(), v.clone(), ver),
-                    None => self.public_state.delete(k.clone(), ver),
+                    Some(v) => self.public_state.put(*k, v.clone(), ver),
+                    None => self.public_state.delete(*k, ver),
                 }
                 state_version += 1;
             }

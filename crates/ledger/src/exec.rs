@@ -8,7 +8,7 @@
 
 use crate::state::{StateStore, Version, WriteOp};
 use pbc_types::tx::{balance_of, balance_value};
-use pbc_types::{Key, Op, Transaction, Value, VmCall};
+use pbc_types::{Key, KeyId, Op, Transaction, TxKeys, Value, VmCall};
 use pbc_vm::{VmHost, VmStatus};
 
 /// Why a transaction aborted during execution.
@@ -67,10 +67,12 @@ impl ExecStatus {
 pub struct ExecResult {
     /// The executed transaction's id.
     pub tx_id: pbc_types::TxId,
-    /// Keys read, with the version observed at read time.
-    pub read_set: Vec<(Key, Version)>,
-    /// Buffered writes (not yet applied to any store); `None` values
-    /// are deletes that will commit tombstones.
+    /// Keys read, with the version observed at read time, in first-read
+    /// order.
+    pub read_set: Vec<(KeyId, Version)>,
+    /// Buffered writes (not yet applied to any store), one per key with
+    /// its last value, in first-write order; `None` values are deletes
+    /// that will commit tombstones.
     pub write_set: Vec<WriteOp>,
     /// Success or abort reason.
     pub status: ExecStatus,
@@ -92,71 +94,115 @@ impl ExecResult {
     }
 }
 
-/// Read-your-writes lookup: last buffered write wins (a buffered delete
-/// makes the key read as missing *without* falling through to the
-/// store); only reads served by the store are recorded in the read set,
-/// once per key (the store cannot change under one execution, so the
-/// first read is authoritative and a repeat adds nothing).
-/// Shared verbatim by the static interpreter and the VM host, which is
-/// what makes their footprints byte-identical.
-fn lookup(
-    state: &StateStore,
-    writes: &[WriteOp],
-    reads: &mut Vec<(Key, Version)>,
-    key: &str,
-) -> Option<Value> {
-    if let Some((_, v)) = writes.iter().rev().find(|(k, _)| k == key) {
-        return v.clone();
+/// The interned keys of `tx` ([`Transaction::key_ids`] with the VM's
+/// key-table reader): what [`execute`] and `pbc_txn`'s dependency graph
+/// read instead of the strings in its ops.
+pub fn tx_keys(tx: &Transaction) -> &TxKeys {
+    tx.key_ids(pbc_vm::Program::intern_key_table)
+}
+
+/// One transaction's read-your-writes buffers. `writes` holds one entry
+/// per key, in first-write order, with the key's last buffered value:
+/// it is already the collapsed write set. `reads` holds the first
+/// store read of each key. Both are scanned linearly, which for the
+/// handful of keys a transaction touches is cheaper than hashing.
+struct Buffers {
+    reads: Vec<(KeyId, Version)>,
+    writes: Vec<WriteOp>,
+}
+
+impl Buffers {
+    /// Read-your-writes lookup: a buffered write wins (a buffered delete
+    /// makes the key read as missing *without* falling through to the
+    /// store); only reads served by the store are recorded in the read
+    /// set, once per key (the store cannot change under one execution,
+    /// so the first read is authoritative and a repeat adds nothing).
+    /// Shared by the static interpreter and the VM host, which is what
+    /// makes their footprints identical.
+    fn lookup<'a>(&'a mut self, state: &'a StateStore, key: KeyId) -> Option<&'a Value> {
+        if let Some(i) = self.writes.iter().position(|(k, _)| *k == key) {
+            return self.writes[i].1.as_ref();
+        }
+        let (val, ver) = state.get_versioned(&key);
+        if !self.reads.iter().any(|(k, _)| *k == key) {
+            self.reads.push((key, ver));
+        }
+        val
     }
-    let (val, ver) = state.get_versioned(key);
-    if !reads.iter().any(|(k, _)| k == key) {
-        reads.push((key.to_string(), ver));
+
+    fn balance(&mut self, state: &StateStore, key: KeyId) -> u64 {
+        balance_of(self.lookup(state, key))
     }
-    val.cloned()
+
+    /// Buffers a write; a later write of the same key replaces the
+    /// earlier one in place.
+    fn write(&mut self, key: KeyId, value: Option<Value>) {
+        match self.writes.iter_mut().find(|(k, _)| *k == key) {
+            Some(slot) => slot.1 = value,
+            None => self.writes.push((key, value)),
+        }
+    }
 }
 
 /// The [`VmHost`] the shared `execute` entry point hands to `pbc-vm`:
-/// it routes every host op through the same buffers and [`lookup`] the
-/// static interpreter uses, so a program and the op list it was
-/// compiled from record indistinguishable footprints.
+/// it resolves key-table indices through the transaction's interned
+/// table and routes every host op through the same [`Buffers`] the
+/// static interpreter uses, so a program and the op list it was compiled
+/// from record indistinguishable footprints.
 struct LedgerHost<'a> {
     state: &'a StateStore,
-    writes: &'a mut Vec<WriteOp>,
-    reads: &'a mut Vec<(Key, Version)>,
+    buffers: &'a mut Buffers,
+    /// The program's key table, interned.
+    keys: &'a [KeyId],
 }
 
 impl VmHost for LedgerHost<'_> {
     fn get(&mut self, key: &str) -> u64 {
-        balance_of(lookup(self.state, self.writes, self.reads, key).as_ref())
+        self.buffers.balance(self.state, KeyId::intern(key))
     }
     fn put(&mut self, key: &str, value: u64) {
-        self.writes.push((key.to_string(), Some(balance_value(value))));
+        self.buffers.write(KeyId::intern(key), Some(balance_value(value)));
     }
     fn put_bytes(&mut self, key: &str, value: &[u8]) {
-        self.writes.push((key.to_string(), Some(Value::copy_from_slice(value))));
+        self.buffers.write(KeyId::intern(key), Some(Value::copy_from_slice(value)));
     }
     fn delete(&mut self, key: &str) {
-        self.writes.push((key.to_string(), None));
+        self.buffers.write(KeyId::intern(key), None);
+    }
+    fn get_at(&mut self, _: &[Key], index: usize) -> u64 {
+        self.buffers.balance(self.state, self.keys[index])
+    }
+    fn put_at(&mut self, _: &[Key], index: usize, value: u64) {
+        self.buffers.write(self.keys[index], Some(balance_value(value)));
+    }
+    fn put_bytes_at(&mut self, _: &[Key], index: usize, value: &[u8]) {
+        self.buffers.write(self.keys[index], Some(Value::copy_from_slice(value)));
+    }
+    fn delete_at(&mut self, _: &[Key], index: usize) {
+        self.buffers.write(self.keys[index], None);
     }
 }
 
-/// Runs one VM invocation against the transaction's buffers. `Ok` means
-/// the program halted; `Err` carries the abort status (writes must be
-/// discarded by the caller). Either way the metered gas is returned.
+/// Runs one VM invocation against the transaction's buffers. `ids` are
+/// the transaction's op keys from this invocation on; the program's
+/// table is taken off their front. `Ok` means the program halted; `Err`
+/// carries the abort status (writes must be discarded by the caller).
+/// Either way the metered gas is returned.
 fn run_invoke(
     call: &VmCall,
+    ids: &mut &[KeyId],
     state: &StateStore,
-    writes: &mut Vec<WriteOp>,
-    reads: &mut Vec<(Key, Version)>,
+    buffers: &mut Buffers,
 ) -> (u64, Option<ExecStatus>) {
-    let program = match pbc_vm::Program::from_bytes(&call.bytecode) {
-        Ok(p) => p,
+    let (program, key_count) = match pbc_vm::Program::from_bytes_split(&call.bytecode) {
+        Ok((p, keys)) => (p, keys.len()),
         Err(e) => {
             return (0, Some(ExecStatus::VmFault { detail: format!("bytecode rejected: {e}") }))
         }
     };
-    let mut host = LedgerHost { state, writes, reads };
-    let run = pbc_vm::run(&program, &call.args, call.gas_limit, &mut host);
+    let keys = take(ids, key_count);
+    let mut host = LedgerHost { state, buffers, keys };
+    let run = pbc_vm::run_resolved(&program, key_count, &call.args, call.gas_limit, &mut host);
     debug_assert!(run.gas_used <= call.gas_limit, "VM overdrew its gas budget");
     let abort = match run.status {
         VmStatus::Halted => None,
@@ -169,65 +215,80 @@ fn run_invoke(
     (run.gas_used, abort)
 }
 
+/// Splits the first `n` ids off `ids`.
+fn take<'a>(ids: &mut &'a [KeyId], n: usize) -> &'a [KeyId] {
+    let (head, rest) = ids.split_at(n);
+    *ids = rest;
+    head
+}
+
 /// Executes `tx` against `state` *without mutating it*.
 ///
 /// This is the single shared entry point for both payload forms of
 /// [`pbc_types::Executable`]: static ops are interpreted directly, and
 /// `Op::Invoke` payloads run on the `pbc-vm` interpreter against the
-/// same read-your-writes buffers. Reads see earlier writes of the same
+/// same read-your-writes buffers. Keys are the transaction's interned
+/// ids ([`tx_keys`]). Reads see earlier writes of the same
 /// transaction. Any abort — a failed `Transfer`, a VM contract abort,
 /// out-of-gas, or a bytecode fault — aborts the whole transaction: the
 /// returned write set is empty and the status carries the reason, but
 /// the read set is retained (XOV still validates reads of aborted
 /// endorsements).
 pub fn execute(tx: &Transaction, state: &StateStore) -> ExecResult {
-    let mut read_set: Vec<(Key, Version)> = Vec::new();
-    let mut writes: Vec<WriteOp> = Vec::new();
+    let mut ids = tx_keys(tx).ops();
+    // Every key the transaction can touch is among `ids`; a large key
+    // table that a run barely uses grows the buffers instead.
+    let cap = ids.len().min(64);
+    let mut buf = Buffers { reads: Vec::with_capacity(cap), writes: Vec::with_capacity(cap) };
     let mut work: u64 = 0;
     let mut gas_used: u64 = 0;
+    let abort = |buf: Buffers, status, work, gas_used| ExecResult {
+        tx_id: tx.id,
+        read_set: buf.reads,
+        write_set: Vec::new(),
+        status,
+        work,
+        gas_used,
+    };
 
     for op in &tx.ops {
         match op {
-            Op::Get { key } => {
+            Op::Get { .. } => {
                 work += 1;
-                let _ = lookup(state, &writes, &mut read_set, key);
+                let _ = buf.lookup(state, take(&mut ids, 1)[0]);
             }
-            Op::Put { key, value } => {
+            Op::Put { value, .. } => {
                 work += 1;
-                writes.push((key.clone(), Some(value.clone())));
+                buf.write(take(&mut ids, 1)[0], Some(value.clone()));
             }
-            Op::Incr { key, delta } => {
+            Op::Incr { delta, .. } => {
                 work += 1;
-                let cur = balance_of(lookup(state, &writes, &mut read_set, key).as_ref());
+                let key = take(&mut ids, 1)[0];
+                let cur = buf.balance(state, key);
                 let next = if *delta >= 0 {
                     cur.saturating_add(*delta as u64)
                 } else {
                     cur.saturating_sub(delta.unsigned_abs())
                 };
-                writes.push((key.clone(), Some(balance_value(next))));
+                buf.write(key, Some(balance_value(next)));
             }
-            Op::Transfer { from, to, amount } => {
+            Op::Transfer { from, amount, .. } => {
                 work += 1;
-                let from_bal = balance_of(lookup(state, &writes, &mut read_set, from).as_ref());
+                let &[from_id, to_id] = take(&mut ids, 2) else { unreachable!("two keys") };
+                let from_bal = buf.balance(state, from_id);
                 if from_bal < *amount {
-                    return ExecResult {
-                        tx_id: tx.id,
-                        read_set,
-                        write_set: Vec::new(),
-                        status: ExecStatus::InsufficientFunds {
-                            account: from.clone(),
-                            requested: *amount,
-                            available: from_bal,
-                        },
-                        work,
-                        gas_used,
+                    let status = ExecStatus::InsufficientFunds {
+                        account: from.clone(),
+                        requested: *amount,
+                        available: from_bal,
                     };
+                    return abort(buf, status, work, gas_used);
                 }
                 // Debit before reading the credit side so self-transfers
                 // observe the debited balance and conserve funds.
-                writes.push((from.clone(), Some(balance_value(from_bal - amount))));
-                let to_bal = balance_of(lookup(state, &writes, &mut read_set, to).as_ref());
-                writes.push((to.clone(), Some(balance_value(to_bal + amount))));
+                buf.write(from_id, Some(balance_value(from_bal - amount)));
+                let to_bal = buf.balance(state, to_id);
+                buf.write(to_id, Some(balance_value(to_bal + amount)));
             }
             Op::Noop { busy_work } => {
                 // Simulated contract cost: a cheap but real computation so
@@ -241,42 +302,25 @@ pub fn execute(tx: &Transaction, state: &StateStore) -> ExecResult {
                 work += *busy_work as u64;
                 std::hint::black_box(x);
             }
-            Op::Delete { key } => {
+            Op::Delete { .. } => {
                 work += 1;
-                writes.push((key.clone(), None));
+                buf.write(take(&mut ids, 1)[0], None);
             }
             Op::Invoke { call } => {
-                let (gas, abort) = run_invoke(call, state, &mut writes, &mut read_set);
+                let (gas, status) = run_invoke(call, &mut ids, state, &mut buf);
                 gas_used += gas;
                 work += gas;
-                if let Some(status) = abort {
-                    return ExecResult {
-                        tx_id: tx.id,
-                        read_set,
-                        write_set: Vec::new(),
-                        status,
-                        work,
-                        gas_used,
-                    };
+                if let Some(status) = status {
+                    return abort(buf, status, work, gas_used);
                 }
             }
         }
     }
 
-    // Collapse the write set to the last write per key.
-    let mut final_writes: Vec<WriteOp> = Vec::with_capacity(writes.len());
-    for (k, v) in writes {
-        if let Some(slot) = final_writes.iter_mut().find(|(fk, _)| *fk == k) {
-            slot.1 = v;
-        } else {
-            final_writes.push((k, v));
-        }
-    }
-
     ExecResult {
         tx_id: tx.id,
-        read_set,
-        write_set: final_writes,
+        read_set: buf.reads,
+        write_set: buf.writes,
         status: ExecStatus::Success,
         work,
         gas_used,
@@ -303,10 +347,15 @@ mod tests {
         Transaction::new(TxId(1), ClientId(0), ops)
     }
 
+    /// A read or write set with its keys spelled out.
+    fn named<T: Clone>(set: &[(KeyId, T)]) -> Vec<(&'static str, T)> {
+        set.iter().map(|(k, t)| (k.as_str(), t.clone())).collect()
+    }
+
     fn seeded_state() -> StateStore {
         let mut s = StateStore::new();
-        s.put("alice".into(), balance_value(100), Version::new(1, 0));
-        s.put("bob".into(), balance_value(50), Version::new(1, 1));
+        s.put("alice", balance_value(100), Version::new(1, 0));
+        s.put("bob", balance_value(50), Version::new(1, 1));
         s
     }
 
@@ -350,7 +399,7 @@ mod tests {
         let r = execute(&t, &s);
         assert!(r.is_success());
         // Final write must be 7.
-        let (_, v) = r.write_set.iter().find(|(k, _)| k == "k").unwrap().clone();
+        let (_, v) = r.write_set.iter().find(|(k, _)| k.as_str() == "k").unwrap().clone();
         assert_eq!(balance_of(v.as_ref()), 7);
         // The Incr read was served from the tx's own buffer: no state read.
         assert!(r.read_set.is_empty());
@@ -362,11 +411,8 @@ mod tests {
         let t = tx(vec![Op::Get { key: "alice".into() }, Op::Get { key: "ghost".into() }]);
         let r = execute(&t, &s);
         assert_eq!(
-            r.read_set,
-            vec![
-                ("alice".to_string(), Version::new(1, 0)),
-                ("ghost".to_string(), Version::GENESIS)
-            ]
+            named(&r.read_set),
+            vec![("alice", Version::new(1, 0)), ("ghost", Version::GENESIS)]
         );
     }
 
@@ -404,7 +450,7 @@ mod tests {
         let t = tx(vec![Op::Delete { key: "alice".into() }]);
         let r = execute_and_apply(&t, &mut s, Version::new(2, 0));
         assert!(r.is_success());
-        assert_eq!(r.write_set, vec![("alice".to_string(), None)]);
+        assert_eq!(named(&r.write_set), vec![("alice", None)]);
         assert!(s.get("alice").is_none());
         assert_eq!(s.version("alice"), Version::new(2, 0), "tombstone carries the version");
     }
@@ -421,7 +467,7 @@ mod tests {
         // The Incr saw the buffered delete, not alice's live balance of
         // 100 — and it never touched the store, so no read is recorded.
         assert!(r.read_set.is_empty());
-        let (_, v) = r.write_set.iter().find(|(k, _)| k == "alice").unwrap();
+        let (_, v) = r.write_set.iter().find(|(k, _)| k.as_str() == "alice").unwrap();
         assert_eq!(balance_of(v.as_ref()), 3);
     }
 
@@ -501,15 +547,12 @@ mod tests {
             Op::Get { key: "alice".into() },
         ];
         let s = seeded_state();
-        let expected = vec![
-            ("alice".to_string(), Version::new(1, 0)),
-            ("bob".to_string(), Version::new(1, 1)),
-        ];
-        assert_eq!(execute(&tx(ops.clone()), &s).read_set, expected);
+        let expected = vec![("alice", Version::new(1, 0)), ("bob", Version::new(1, 1))];
+        assert_eq!(named(&execute(&tx(ops.clone()), &s).read_set), expected);
         let gas = pbc_vm::compile_ops(&ops).straight_line_gas();
         let vm = execute(&invoke_tx(call_for(&ops, gas)), &s);
         assert!(vm.is_success());
-        assert_eq!(vm.read_set, expected);
+        assert_eq!(named(&vm.read_set), expected);
     }
 
     #[test]
@@ -567,5 +610,124 @@ mod tests {
         let r = execute_and_apply(&t, &mut s, Version::new(2, 0));
         assert!(r.is_success());
         assert_eq!(balance_of(s.get("alice")), 100, "self transfer must conserve balance");
+    }
+
+    /// Keys the equivalence cases draw from; the last two are never in
+    /// the generated state.
+    const KEYS: [&str; 8] = ["eq/a", "eq/b", "eq/c", "eq/d", "eq/e", "eq/f", "eq/g", "eq/h"];
+
+    /// One VM instruction from two random bytes: host ops and key-index
+    /// pushes are common, loops and bad indices possible.
+    fn instr(op: u8, arg: u8, len: usize) -> pbc_vm::Instr {
+        use pbc_vm::Instr;
+        let to = arg as u32 % (len as u32 + 1);
+        match op % 20 {
+            0 => Instr::Push(arg as u64 % 8),
+            1 => Instr::Push(arg as u64 * 37),
+            2 => Instr::Arg(arg as u16 % 3),
+            3 => Instr::Get,
+            4 => Instr::Put,
+            5 => Instr::Incr,
+            6 => Instr::Delete,
+            7 => Instr::PutData(arg as u32 / 7),
+            8 => Instr::Dup,
+            9 => Instr::Swap,
+            10 => Instr::Add,
+            11 => Instr::Sub,
+            12 => Instr::Pop,
+            13 => Instr::Jz(to),
+            14 => Instr::Jump(to),
+            15 => Instr::Abort(arg as u32),
+            16 => Instr::Burn(arg as u32),
+            17 => Instr::Lt,
+            18 => Instr::Not,
+            _ => Instr::Halt,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Interning changes no outcome: on random static, VM and mixed
+        /// transactions (duplicate key-table entries, deletes and
+        /// tombstones, read-after-write, insufficient funds, out-of-gas,
+        /// VM faults, undecodable bytecode) the interned executor returns
+        /// the string-keyed reference's status, gas, work, read set and
+        /// write set, in order, and applying either write set leaves the
+        /// same state.
+        #[test]
+        fn interned_execute_matches_string_reference(
+            balances in proptest::collection::vec(0..200u64, 6),
+            tombstones in proptest::prelude::any::<u8>(),
+            ops in proptest::collection::vec((0..7u8, 0..8u8, 0..8u8, 0..400u64), 1..=8),
+            code in proptest::collection::vec((0..20u8, 0..8u8), 0..=30),
+            table in proptest::collection::vec(0..8u8, 0..=6),
+            gas in 0..400u64,
+            truncate in proptest::prelude::any::<bool>(),
+        ) {
+            let mut state = StateStore::new();
+            for (i, b) in balances.iter().enumerate() {
+                state.put(KEYS[i], balance_value(*b), Version::new(1, i as u32));
+                if tombstones >> i & 1 == 1 {
+                    state.delete(KEYS[i], Version::new(2, i as u32));
+                }
+            }
+            let program = pbc_vm::Program {
+                code: code.iter().map(|&(op, arg)| instr(op, arg, code.len())).collect(),
+                keys: table.iter().map(|&k| KEYS[k as usize].to_string()).collect(),
+                consts: vec![b"data".to_vec()],
+            };
+            let mut bytecode = program.to_bytes();
+            if truncate {
+                bytecode.pop();
+            }
+            let call = pbc_types::VmCall {
+                bytecode: Bytes::from(bytecode),
+                args: vec![5, 1000],
+                gas_limit: gas,
+                declared_reads: vec![],
+                declared_writes: vec![],
+            };
+            let ops: Vec<Op> = ops
+                .iter()
+                .map(|&(kind, a, b, n)| {
+                    let (key, other) = (KEYS[a as usize].to_string(), KEYS[b as usize].to_string());
+                    match kind {
+                        0 => Op::Get { key },
+                        1 => Op::Put { key, value: balance_value(n) },
+                        2 => Op::Incr { key, delta: n as i64 - 200 },
+                        3 => Op::Transfer { from: key, to: other, amount: n % 150 },
+                        4 => Op::Noop { busy_work: n as u32 % 5 },
+                        5 => Op::Delete { key },
+                        _ => Op::Invoke { call: call.clone() },
+                    }
+                })
+                .collect();
+            for t in [tx(ops), invoke_tx(call.clone())] {
+                let got = execute(&t, &state);
+                let want = crate::exec_reference::execute(&t, &state);
+                proptest::prop_assert_eq!(&got.status, &want.status);
+                proptest::prop_assert_eq!(got.gas_used, want.gas_used);
+                proptest::prop_assert_eq!(got.work, want.work);
+                let reads: Vec<(&str, Version)> =
+                    want.read_set.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+                proptest::prop_assert_eq!(named(&got.read_set), reads);
+                let writes: Vec<(&str, Option<Value>)> =
+                    want.write_set.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+                proptest::prop_assert_eq!(named(&got.write_set), writes);
+
+                let version = Version::new(3, 0);
+                let mut interned = state.clone();
+                interned.apply_writes(&got.write_set, version);
+                let mut reference = state.clone();
+                for (k, v) in want.write_set {
+                    match v {
+                        Some(v) => reference.put(k, v, version),
+                        None => reference.delete(k, version),
+                    }
+                }
+                proptest::prop_assert_eq!(interned.state_digest(), reference.state_digest());
+            }
+        }
     }
 }

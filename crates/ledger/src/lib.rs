@@ -20,12 +20,14 @@
 pub mod chain;
 pub mod dag;
 pub mod exec;
+#[cfg(test)]
+mod exec_reference;
 pub mod proof;
 pub mod state;
 
 pub use chain::{ChainError, ChainLedger};
 pub use dag::{DagLedger, DagNodeKind, LocalView};
-pub use exec::{execute, execute_and_apply, ExecResult, ExecStatus};
+pub use exec::{execute, execute_and_apply, tx_keys, ExecResult, ExecStatus};
 pub use proof::{
     prove_absent, prove_key, state_root, verify_absent, verify_key, AbsenceProof, ProofBatch,
     StateProof,

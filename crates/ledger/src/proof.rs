@@ -39,15 +39,15 @@ fn entry_bytes(key: &str, value: &Value) -> Vec<u8> {
 pub struct ProofCache {
     generation: u64,
     /// Live entries sorted by key; leaf `i` commits to `entries[i]`.
-    entries: Vec<(Key, Value)>,
+    entries: Vec<(&'static str, Value)>,
     tree: MerkleTree,
 }
 
 impl ProofCache {
     fn build(state: &StateStore) -> ProofCache {
-        let mut entries: Vec<(Key, Value)> =
-            state.iter().map(|(k, v, _)| (k.clone(), v.clone())).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut entries: Vec<(&'static str, Value)> =
+            state.iter().map(|(k, v, _)| (k.as_str(), v.clone())).collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let leaves: Vec<Vec<u8>> = entries.iter().map(|(k, v)| entry_bytes(k, v)).collect();
         let tree = MerkleTree::build(&leaves);
         ProofCache { generation: state.generation(), entries, tree }
@@ -146,13 +146,13 @@ impl ProofBatch {
 
     fn prove_index(&self, index: usize) -> Option<StateProof> {
         let proof = self.inner.tree.prove(index)?;
-        let (key, value) = self.inner.entries[index].clone();
-        Some(StateProof { key, value, proof })
+        let (key, value) = &self.inner.entries[index];
+        Some(StateProof { key: key.to_string(), value: value.clone(), proof })
     }
 
     /// Proves the current value of `key`, or `None` if absent.
     pub fn prove_key(&self, key: &str) -> Option<StateProof> {
-        let index = self.inner.entries.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok()?;
+        let index = self.inner.entries.binary_search_by(|(k, _)| (*k).cmp(key)).ok()?;
         self.prove_index(index)
     }
 
@@ -160,7 +160,7 @@ impl ProofBatch {
     /// `None` if the key is in fact present.
     pub fn prove_absent(&self, key: &str) -> Option<AbsenceProof> {
         let entries = &self.inner.entries;
-        let idx = match entries.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
+        let idx = match entries.binary_search_by(|(k, _)| (*k).cmp(key)) {
             Ok(_) => return None, // present: absence is not provable
             Err(i) => i,
         };
@@ -265,7 +265,7 @@ mod tests {
     fn proof_against_stale_root_rejected() {
         let mut state = sample_state(8);
         let old_root = state_root(&state);
-        state.put("key003".into(), balance_value(777), Version::new(2, 0));
+        state.put("key003", balance_value(777), Version::new(2, 0));
         let fresh_proof = prove_key(&state, "key003").unwrap();
         assert!(!verify_key(&old_root, &fresh_proof), "state moved on; old root must reject");
         let new_root = state_root(&state);
@@ -276,7 +276,7 @@ mod tests {
     fn root_tracks_state_changes() {
         let mut state = sample_state(4);
         let r1 = state_root(&state);
-        state.put("key000".into(), balance_value(1), Version::new(2, 0));
+        state.put("key000", balance_value(1), Version::new(2, 0));
         let r2 = state_root(&state);
         assert_ne!(r1, r2);
     }
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn root_stops_committing_to_deleted_keys() {
         let mut state = sample_state(8);
-        state.delete("key003".into(), Version::new(2, 0));
+        state.delete("key003", Version::new(2, 0));
         // The root equals that of a state which never held the key…
         let mut without = StateStore::new();
         for i in 0..8 {
@@ -331,7 +331,7 @@ mod tests {
         let cloned = state.clone();
         assert!(ProofBatch::new(&cloned).shares_build(&a));
         // Any write invalidates: the next batch is a fresh build.
-        state.put("key000".into(), balance_value(1), Version::new(2, 0));
+        state.put("key000", balance_value(1), Version::new(2, 0));
         let c = ProofBatch::new(&state);
         assert!(!c.shares_build(&a));
         assert_ne!(c.root(), a.root());

@@ -14,7 +14,7 @@
 //! tombstones, so the root stops committing to dead keys.
 
 use fxhash::FxHashMap;
-use pbc_types::{Key, Value};
+use pbc_types::{KeyId, StateKey, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
@@ -39,13 +39,16 @@ impl Version {
 
 /// A buffered write: `Some(value)` puts the key, `None` deletes it
 /// (committing a tombstone version).
-pub type WriteOp = (Key, Option<Value>);
+pub type WriteOp = (KeyId, Option<Value>);
 
 /// A versioned key-value store.
 ///
-/// Keyed with the deterministic Fx hasher: `get`/`put` sit on the
-/// validation hot path (XOV re-checks every read-set key), and SipHash
-/// dominates the profile there for short keys.
+/// Keyed by interned [`KeyId`] with the deterministic Fx hasher:
+/// `get`/`put` sit on the validation hot path (XOV re-checks every
+/// read-set key), where a lookup now hashes one `u32`. Every method
+/// that names a key takes a [`StateKey`]: an id, or a string at the API
+/// edge (a string read looks the id up; a string write interns it).
+/// Nothing here outputs ids in id order: the digests sort by key string.
 ///
 /// The store also carries the Merkle proof cache used by
 /// [`crate::proof`]: the sorted entry list and built tree are expensive
@@ -57,7 +60,7 @@ pub type WriteOp = (Key, Option<Value>);
 pub struct StateStore {
     /// `Some(value)` = live key, `None` = tombstone. Both carry the
     /// version of the write that produced them.
-    current: FxHashMap<Key, (Option<Value>, Version)>,
+    current: FxHashMap<KeyId, (Option<Value>, Version)>,
     /// Number of live (non-tombstone) entries.
     live: usize,
     writes_applied: u64,
@@ -89,9 +92,13 @@ impl StateStore {
         Self::default()
     }
 
+    fn entry<K: StateKey + ?Sized>(&self, key: &K) -> Option<&(Option<Value>, Version)> {
+        self.current.get(&key.find_id()?)
+    }
+
     /// Reads a key's current value. Tombstoned keys read as absent.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.current.get(key).and_then(|(v, _)| v.as_ref())
+    pub fn get<K: StateKey + ?Sized>(&self, key: &K) -> Option<&Value> {
+        self.entry(key).and_then(|(v, _)| v.as_ref())
     }
 
     /// Reads a key's current value and version. Never-written keys read
@@ -99,8 +106,8 @@ impl StateStore {
     /// uses for keys that didn't exist at endorsement time. *Deleted*
     /// keys read as `(None, tombstone_version)`: the delete is a write,
     /// and validation must see its version to detect stale reads.
-    pub fn get_versioned(&self, key: &str) -> (Option<&Value>, Version) {
-        match self.current.get(key) {
+    pub fn get_versioned<K: StateKey + ?Sized>(&self, key: &K) -> (Option<&Value>, Version) {
+        match self.entry(key) {
             Some((v, ver)) => (v.as_ref(), *ver),
             None => (None, Version::GENESIS),
         }
@@ -108,11 +115,11 @@ impl StateStore {
 
     /// Current version of a key (GENESIS if never written; a tombstone
     /// reports the deleting write's version).
-    pub fn version(&self, key: &str) -> Version {
-        self.current.get(key).map_or(Version::GENESIS, |(_, v)| *v)
+    pub fn version<K: StateKey + ?Sized>(&self, key: &K) -> Version {
+        self.entry(key).map_or(Version::GENESIS, |(_, v)| *v)
     }
 
-    fn insert_entry(&mut self, key: Key, value: Option<Value>, version: Version) {
+    fn insert_entry(&mut self, key: KeyId, value: Option<Value>, version: Version) {
         let incoming_live = value.is_some();
         let was_live = matches!(self.current.insert(key, (value, version)), Some((Some(_), _)));
         match (was_live, incoming_live) {
@@ -125,24 +132,24 @@ impl StateStore {
     }
 
     /// Writes a key at a version.
-    pub fn put(&mut self, key: Key, value: Value, version: Version) {
-        self.insert_entry(key, Some(value), version);
+    pub fn put(&mut self, key: impl StateKey, value: Value, version: Version) {
+        self.insert_entry(key.to_id(), Some(value), version);
     }
 
     /// Deletes a key at a version, leaving a tombstone. Deleting a
     /// never-written key still records the tombstone: the delete is a
     /// write event later readers must conflict with.
-    pub fn delete(&mut self, key: Key, version: Version) {
-        self.insert_entry(key, None, version);
+    pub fn delete(&mut self, key: impl StateKey, version: Version) {
+        self.insert_entry(key.to_id(), None, version);
     }
 
     /// Applies a whole put-only write set at a version, reserving
     /// capacity for the new keys up front instead of growing the table
     /// write by write.
-    pub fn apply(&mut self, writes: &[(Key, Value)], version: Version) {
+    pub fn apply(&mut self, writes: &[(impl StateKey, Value)], version: Version) {
         self.current.reserve(writes.len());
         for (k, v) in writes {
-            self.put(k.clone(), v.clone(), version);
+            self.put(k, v.clone(), version);
         }
     }
 
@@ -151,7 +158,7 @@ impl StateStore {
     pub fn apply_writes(&mut self, writes: &[WriteOp], version: Version) {
         self.current.reserve(writes.len());
         for (k, v) in writes {
-            self.insert_entry(k.clone(), v.clone(), version);
+            self.insert_entry(*k, v.clone(), version);
         }
     }
 
@@ -190,14 +197,14 @@ impl StateStore {
 
     /// Iterates over live `(key, value, version)` entries in arbitrary
     /// order. Tombstones are skipped.
-    pub fn iter(&self) -> impl Iterator<Item = (&Key, &Value, Version)> {
-        self.current.iter().filter_map(|(k, (v, ver))| v.as_ref().map(|v| (k, v, *ver)))
+    pub fn iter(&self) -> impl Iterator<Item = (KeyId, &Value, Version)> {
+        self.current.iter().filter_map(|(k, (v, ver))| v.as_ref().map(|v| (*k, v, *ver)))
     }
 
     /// Iterates over *all* entries including tombstones, as
-    /// `(key, Option<&value>, version)`.
-    pub fn iter_all(&self) -> impl Iterator<Item = (&Key, Option<&Value>, Version)> {
-        self.current.iter().map(|(k, (v, ver))| (k, v.as_ref(), *ver))
+    /// `(key, Option<&value>, version)`, in arbitrary order.
+    pub fn iter_all(&self) -> impl Iterator<Item = (KeyId, Option<&Value>, Version)> {
+        self.current.iter().map(|(k, (v, ver))| (*k, v.as_ref(), *ver))
     }
 
     pub(crate) fn cache_slot(&self) -> &Mutex<Option<Arc<crate::proof::ProofCache>>> {
@@ -208,8 +215,9 @@ impl StateStore {
     /// cross-replica consistency checks in tests and examples. Includes
     /// tombstones and versions: replicas must agree on deletes too.
     pub fn state_digest(&self) -> pbc_crypto::Hash {
-        let mut entries: Vec<(&Key, &(Option<Value>, Version))> = self.current.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
+        let mut entries: Vec<(&str, &(Option<Value>, Version))> =
+            self.current.iter().map(|(k, e)| (k.as_str(), e)).collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut enc = pbc_types::encode::Encoder::new();
         for (k, (v, ver)) in entries {
             enc.str(k);
@@ -228,8 +236,9 @@ impl StateStore {
     /// legitimately stamp different versions for the same serializable
     /// outcome, but the *values* must match the sequential reference.
     pub fn value_digest(&self) -> pbc_crypto::Hash {
-        let mut entries: Vec<(&Key, &Value)> = self.iter().map(|(k, v, _)| (k, v)).collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
+        let mut entries: Vec<(&str, &Value)> =
+            self.iter().map(|(k, v, _)| (k.as_str(), v)).collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut enc = pbc_types::encode::Encoder::new();
         for (k, v) in entries {
             enc.str(k).bytes(v);
@@ -250,7 +259,7 @@ mod tests {
     #[test]
     fn get_put_roundtrip() {
         let mut s = StateStore::new();
-        s.put("a".into(), b("1"), Version::new(1, 0));
+        s.put("a", b("1"), Version::new(1, 0));
         assert_eq!(s.get("a"), Some(&b("1")));
         assert_eq!(s.version("a"), Version::new(1, 0));
     }
@@ -266,8 +275,8 @@ mod tests {
     #[test]
     fn overwrite_bumps_version() {
         let mut s = StateStore::new();
-        s.put("a".into(), b("1"), Version::new(1, 0));
-        s.put("a".into(), b("2"), Version::new(2, 3));
+        s.put("a", b("1"), Version::new(1, 0));
+        s.put("a", b("2"), Version::new(2, 3));
         assert_eq!(s.get("a"), Some(&b("2")));
         assert_eq!(s.version("a"), Version::new(2, 3));
         assert_eq!(s.len(), 1);
@@ -277,7 +286,7 @@ mod tests {
     #[test]
     fn apply_write_set() {
         let mut s = StateStore::new();
-        s.apply(&[("x".into(), b("1")), ("y".into(), b("2"))], Version::new(5, 1));
+        s.apply(&[("x", b("1")), ("y", b("2"))], Version::new(5, 1));
         assert_eq!(s.len(), 2);
         assert_eq!(s.version("y"), Version::new(5, 1));
     }
@@ -285,8 +294,8 @@ mod tests {
     #[test]
     fn delete_leaves_versioned_tombstone() {
         let mut s = StateStore::new();
-        s.put("a".into(), b("1"), Version::new(1, 0));
-        s.delete("a".into(), Version::new(2, 4));
+        s.put("a", b("1"), Version::new(1, 0));
+        s.delete("a", Version::new(2, 4));
         // The value is gone…
         assert_eq!(s.get("a"), None);
         assert_eq!(s.len(), 0);
@@ -303,7 +312,7 @@ mod tests {
     #[test]
     fn delete_of_never_written_key_still_tombstones() {
         let mut s = StateStore::new();
-        s.delete("ghost".into(), Version::new(3, 0));
+        s.delete("ghost", Version::new(3, 0));
         assert_eq!(s.version("ghost"), Version::new(3, 0));
         assert_eq!(s.tombstones(), 1);
         assert_eq!(s.len(), 0);
@@ -312,9 +321,9 @@ mod tests {
     #[test]
     fn rewrite_after_delete_revives_key() {
         let mut s = StateStore::new();
-        s.put("a".into(), b("1"), Version::new(1, 0));
-        s.delete("a".into(), Version::new(2, 0));
-        s.put("a".into(), b("2"), Version::new(3, 0));
+        s.put("a", b("1"), Version::new(1, 0));
+        s.delete("a", Version::new(2, 0));
+        s.put("a", b("2"), Version::new(3, 0));
         assert_eq!(s.get("a"), Some(&b("2")));
         assert_eq!(s.len(), 1);
         assert_eq!(s.tombstones(), 0);
@@ -324,8 +333,11 @@ mod tests {
     #[test]
     fn apply_writes_mixes_puts_and_deletes() {
         let mut s = StateStore::new();
-        s.put("x".into(), b("1"), Version::new(1, 0));
-        s.apply_writes(&[("x".into(), None), ("y".into(), Some(b("2")))], Version::new(2, 0));
+        s.put("x", b("1"), Version::new(1, 0));
+        s.apply_writes(
+            &[(KeyId::intern("x"), None), (KeyId::intern("y"), Some(b("2")))],
+            Version::new(2, 0),
+        );
         assert_eq!(s.get("x"), None);
         assert_eq!(s.get("y"), Some(&b("2")));
         assert_eq!(s.len(), 1);
@@ -335,10 +347,10 @@ mod tests {
     #[test]
     fn iter_skips_tombstones_iter_all_keeps_them() {
         let mut s = StateStore::new();
-        s.put("a".into(), b("1"), Version::new(1, 0));
-        s.put("d".into(), b("2"), Version::new(1, 1));
-        s.delete("d".into(), Version::new(2, 0));
-        let live: Vec<&Key> = s.iter().map(|(k, _, _)| k).collect();
+        s.put("a", b("1"), Version::new(1, 0));
+        s.put("d", b("2"), Version::new(1, 1));
+        s.delete("d", Version::new(2, 0));
+        let live: Vec<&str> = s.iter().map(|(k, _, _)| k.as_str()).collect();
         assert_eq!(live, vec!["a"]);
         assert_eq!(s.iter_all().count(), 2);
     }
@@ -346,27 +358,27 @@ mod tests {
     #[test]
     fn digest_is_order_insensitive_but_content_sensitive() {
         let mut s1 = StateStore::new();
-        s1.put("a".into(), b("1"), Version::new(1, 0));
-        s1.put("b".into(), b("2"), Version::new(1, 1));
+        s1.put("a", b("1"), Version::new(1, 0));
+        s1.put("b", b("2"), Version::new(1, 1));
         let mut s2 = StateStore::new();
-        s2.put("b".into(), b("2"), Version::new(1, 1));
-        s2.put("a".into(), b("1"), Version::new(1, 0));
+        s2.put("b", b("2"), Version::new(1, 1));
+        s2.put("a", b("1"), Version::new(1, 0));
         assert_eq!(s1.state_digest(), s2.state_digest());
 
         let mut s3 = s1.clone();
-        s3.put("a".into(), b("9"), Version::new(2, 0));
+        s3.put("a", b("9"), Version::new(2, 0));
         assert_ne!(s1.state_digest(), s3.state_digest());
     }
 
     #[test]
     fn state_digest_sees_tombstones_value_digest_does_not() {
         let mut with_tombstone = StateStore::new();
-        with_tombstone.put("a".into(), b("1"), Version::new(1, 0));
-        with_tombstone.put("d".into(), b("2"), Version::new(1, 1));
-        with_tombstone.delete("d".into(), Version::new(2, 0));
+        with_tombstone.put("a", b("1"), Version::new(1, 0));
+        with_tombstone.put("d", b("2"), Version::new(1, 1));
+        with_tombstone.delete("d", Version::new(2, 0));
 
         let mut never_had = StateStore::new();
-        never_had.put("a".into(), b("1"), Version::new(1, 0));
+        never_had.put("a", b("1"), Version::new(1, 0));
 
         // Replicas must agree on deletes: a tombstone is part of the
         // replicated state…
@@ -379,9 +391,9 @@ mod tests {
     #[test]
     fn value_digest_ignores_versions() {
         let mut a = StateStore::new();
-        a.put("k".into(), b("v"), Version::new(1, 0));
+        a.put("k", b("v"), Version::new(1, 0));
         let mut b2 = StateStore::new();
-        b2.put("k".into(), b("v"), Version::new(7, 3));
+        b2.put("k", b("v"), Version::new(7, 3));
         assert_ne!(a.state_digest(), b2.state_digest());
         assert_eq!(a.value_digest(), b2.value_digest());
     }
@@ -390,8 +402,8 @@ mod tests {
     fn generation_tracks_every_mutation() {
         let mut s = StateStore::new();
         assert_eq!(s.generation(), 0);
-        s.put("a".into(), b("1"), Version::new(1, 0));
-        s.delete("a".into(), Version::new(2, 0));
+        s.put("a", b("1"), Version::new(1, 0));
+        s.delete("a", Version::new(2, 0));
         assert_eq!(s.generation(), 2);
         let c = s.clone();
         assert_eq!(c.generation(), 2);

@@ -7,7 +7,8 @@
 //! the same topological layer can run in parallel.
 
 use fxhash::FxHashMap;
-use pbc_types::Transaction;
+use pbc_ledger::tx_keys;
+use pbc_types::{KeyId, Transaction};
 
 /// A dependency DAG over one block's transactions.
 #[derive(Clone, Debug)]
@@ -26,63 +27,69 @@ impl DependencyGraph {
     /// Conflict detection is key-granular: `i → j` iff `i < j` and the
     /// write set of one intersects the read or write set of the other.
     /// Runs in `O(total ops)` using per-key last-reader/last-writer
-    /// tracking rather than the quadratic pairwise check.
+    /// tracking rather than the quadratic pairwise check, on each
+    /// transaction's interned declared keys ([`tx_keys`]). The order
+    /// keys are visited in within one transaction does not change the
+    /// graph: every edge it adds ends at that transaction.
     pub fn build(txs: &[Transaction]) -> Self {
         let n = txs.len();
         let mut succ = vec![Vec::new(); n];
         let mut indegree = vec![0usize; n];
         let mut edge_count = 0;
 
-        // Per-key: all readers since the last writer, and the last writer.
+        // Per key: the last writer, and the readers since it as a list
+        // threaded through one arena for the whole block (no allocation
+        // per key).
+        const NONE: u32 = u32::MAX;
         struct KeyState {
             last_writer: Option<usize>,
-            readers_since: Vec<usize>,
+            readers: u32,
         }
+        let mut readers: Vec<(usize, u32)> = Vec::new();
         // Fx-hashed: this map is rebuilt per block and probed once per
         // key operation, so hashing cost is the dominant term.
-        let mut keys: FxHashMap<&str, KeyState> = FxHashMap::default();
-        // Dedup edges per (i, j): track the latest predecessor recorded for j.
-        let add_edge = |succ: &mut Vec<Vec<usize>>,
-                        indegree: &mut Vec<usize>,
-                        edge_count: &mut usize,
-                        from: usize,
-                        to: usize| {
+        let mut keys: FxHashMap<KeyId, KeyState> = FxHashMap::default();
+        // Every edge added while visiting `to` ends at `to`, and `to`
+        // only grows, so `succ[from]` is sorted and a repeat of the edge
+        // can only be its last entry.
+        let mut add_edge = |from: usize, to: usize| {
             debug_assert!(from < to);
-            if !succ[from].contains(&to) {
+            if succ[from].last() != Some(&to) {
                 succ[from].push(to);
                 indegree[to] += 1;
-                *edge_count += 1;
+                edge_count += 1;
             }
         };
 
         for (j, tx) in txs.iter().enumerate() {
-            let reads = tx.read_keys();
-            let writes = tx.write_keys();
-            for k in &reads {
-                let st =
-                    keys.entry(k).or_insert(KeyState { last_writer: None, readers_since: vec![] });
+            let tk = tx_keys(tx);
+            for &k in tk.reads() {
+                let st = keys.entry(k).or_insert(KeyState { last_writer: None, readers: NONE });
                 if let Some(w) = st.last_writer {
                     if w != j {
-                        add_edge(&mut succ, &mut indegree, &mut edge_count, w, j);
+                        add_edge(w, j);
                     }
                 }
-                st.readers_since.push(j);
+                readers.push((j, st.readers));
+                st.readers = (readers.len() - 1) as u32;
             }
-            for k in &writes {
-                let st =
-                    keys.entry(k).or_insert(KeyState { last_writer: None, readers_since: vec![] });
+            for &k in tk.writes() {
+                let st = keys.entry(k).or_insert(KeyState { last_writer: None, readers: NONE });
                 if let Some(w) = st.last_writer {
                     if w != j {
-                        add_edge(&mut succ, &mut indegree, &mut edge_count, w, j);
+                        add_edge(w, j);
                     }
                 }
-                for &r in &st.readers_since {
-                    if r != j {
-                        add_edge(&mut succ, &mut indegree, &mut edge_count, r, j);
+                let mut r = st.readers;
+                while r != NONE {
+                    let (reader, next) = readers[r as usize];
+                    if reader != j {
+                        add_edge(reader, j);
                     }
+                    r = next;
                 }
                 st.last_writer = Some(j);
-                st.readers_since.clear();
+                st.readers = NONE;
             }
         }
         DependencyGraph { n, succ, indegree, edge_count }

@@ -20,6 +20,7 @@
 //!   vertex set, committing a superset of Fabric++'s transactions.
 
 use pbc_ledger::{ExecResult, StateStore};
+use pbc_types::KeyId;
 use std::collections::HashMap;
 
 /// The result of reordering one block.
@@ -183,13 +184,13 @@ impl Graph {
 }
 
 /// Builds per-key reader/writer lists from endorsements.
-fn index_keys(results: &[ExecResult]) -> HashMap<&str, (Vec<usize>, Vec<usize>)> {
-    let mut keys: HashMap<&str, (Vec<usize>, Vec<usize>)> = HashMap::new();
+fn index_keys(results: &[ExecResult]) -> HashMap<KeyId, (Vec<usize>, Vec<usize>)> {
+    let mut keys: HashMap<KeyId, (Vec<usize>, Vec<usize>)> = HashMap::new();
     for (i, r) in results.iter().enumerate() {
-        for (k, _) in &r.read_set {
+        for &(k, _) in &r.read_set {
             keys.entry(k).or_default().0.push(i);
         }
-        for (k, _) in &r.write_set {
+        for &(k, _) in &r.write_set {
             keys.entry(k).or_default().1.push(i);
         }
     }
@@ -284,7 +285,7 @@ mod tests {
     fn seeded(keys: &[&str]) -> StateStore {
         let mut s = StateStore::new();
         for (i, k) in keys.iter().enumerate() {
-            s.put((*k).into(), balance_value(1000), Version::new(1, i as u32));
+            s.put(*k, balance_value(1000), Version::new(1, i as u32));
         }
         s
     }
@@ -367,7 +368,7 @@ mod tests {
         let t = rw(1, "k", "z");
         let r = execute(&t, &state);
         // Someone commits a newer version of k before this block validates.
-        state.put("k".into(), balance_value(7), Version::new(2, 0));
+        state.put("k", balance_value(7), Version::new(2, 0));
         let sharp = fabric_sharp_reorder(std::slice::from_ref(&r), &state);
         assert_eq!(sharp.aborted, vec![0], "doomed tx must be filtered early");
         // Fabric++ keeps it (no filter), and it then fails validation.

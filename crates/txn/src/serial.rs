@@ -38,7 +38,7 @@ pub fn values_equal(a: &StateStore, b: &StateStore) -> bool {
     if a.len() != b.len() {
         return false;
     }
-    a.iter().all(|(k, v, _)| b.get(k) == Some(v))
+    a.iter().all(|(k, v, _)| b.get(&k) == Some(v))
 }
 
 #[cfg(test)]
@@ -57,8 +57,8 @@ mod tests {
 
     fn seeded() -> StateStore {
         let mut s = StateStore::new();
-        s.put("a".into(), balance_value(100), Version::new(1, 0));
-        s.put("b".into(), balance_value(100), Version::new(1, 1));
+        s.put("a", balance_value(100), Version::new(1, 0));
+        s.put("b", balance_value(100), Version::new(1, 1));
         s
     }
 
@@ -97,7 +97,7 @@ mod tests {
         let s = seeded();
         let t1 = transfer(1, "a", "b", 10);
         let mut observed = s.clone();
-        observed.put("a".into(), balance_value(1), Version::new(2, 0));
+        observed.put("a", balance_value(1), Version::new(2, 0));
         assert!(!equivalent_to_serial(&[&t1], &s, &observed));
     }
 
@@ -105,7 +105,7 @@ mod tests {
     fn detects_missing_key() {
         let s = seeded();
         let mut bigger = s.clone();
-        bigger.put("c".into(), balance_value(1), Version::new(2, 0));
+        bigger.put("c", balance_value(1), Version::new(2, 0));
         assert!(!values_equal(&s, &bigger));
         assert!(!values_equal(&bigger, &s));
     }

@@ -9,7 +9,7 @@
 //! conflicting transactions" under contention.
 
 use pbc_ledger::{ExecResult, StateStore, Version};
-use pbc_types::Key;
+use pbc_types::KeyId;
 
 /// The verdict for one transaction at validation time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -19,7 +19,7 @@ pub enum ValidationVerdict {
     /// A read was stale.
     Stale {
         /// The conflicting key.
-        key: Key,
+        key: KeyId,
         /// Version observed at endorsement time.
         read: Version,
         /// Version current at validation time.
@@ -42,10 +42,10 @@ pub fn validate_read_set(result: &ExecResult, state: &StateStore) -> ValidationV
     if !result.is_success() {
         return ValidationVerdict::ExecutionFailed;
     }
-    for (key, read_version) in &result.read_set {
-        let current = state.version(key);
-        if current != *read_version {
-            return ValidationVerdict::Stale { key: key.clone(), read: *read_version, current };
+    for &(key, read) in &result.read_set {
+        let current = state.version(&key);
+        if current != read {
+            return ValidationVerdict::Stale { key, read, current };
         }
     }
     ValidationVerdict::Valid
@@ -80,8 +80,8 @@ mod tests {
 
     fn seeded() -> StateStore {
         let mut s = StateStore::new();
-        s.put("a".into(), balance_value(100), Version::new(1, 0));
-        s.put("b".into(), balance_value(100), Version::new(1, 1));
+        s.put("a", balance_value(100), Version::new(1, 0));
+        s.put("b", balance_value(100), Version::new(1, 1));
         s
     }
 
@@ -110,7 +110,7 @@ mod tests {
         let v = validate_block(&[r1, r2], &mut state, 2);
         assert!(v[0].is_valid());
         match &v[1] {
-            ValidationVerdict::Stale { key, .. } => assert_eq!(key, "a"),
+            ValidationVerdict::Stale { key, .. } => assert_eq!(key.as_str(), "a"),
             other => panic!("expected stale, got {other:?}"),
         }
     }
@@ -118,8 +118,8 @@ mod tests {
     #[test]
     fn non_conflicting_parallel_endorsements_both_commit() {
         let mut state = seeded();
-        state.put("c".into(), balance_value(100), Version::new(1, 2));
-        state.put("d".into(), balance_value(100), Version::new(1, 3));
+        state.put("c", balance_value(100), Version::new(1, 2));
+        state.put("d", balance_value(100), Version::new(1, 3));
         let r1 = execute(&transfer(1, "a", "b", 10), &state);
         let r2 = execute(&transfer(2, "c", "d", 10), &state);
         let v = validate_block(&[r1, r2], &mut state, 2);
@@ -142,7 +142,7 @@ mod tests {
         let t = Transaction::new(TxId(1), ClientId(0), vec![Op::Get { key: "ghost".into() }]);
         let r = execute(&t, &state);
         // Another tx creates the key before validation.
-        state.put("ghost".into(), balance_value(1), Version::new(2, 0));
+        state.put("ghost", balance_value(1), Version::new(2, 0));
         assert!(matches!(validate_read_set(&r, &state), ValidationVerdict::Stale { .. }));
     }
 
@@ -155,10 +155,10 @@ mod tests {
         let mut state = seeded();
         let t = Transaction::new(TxId(1), ClientId(0), vec![Op::Get { key: "a".into() }]);
         let r = execute(&t, &state);
-        state.delete("a".into(), Version::new(2, 0));
+        state.delete("a", Version::new(2, 0));
         match validate_read_set(&r, &state) {
             ValidationVerdict::Stale { key, read, current } => {
-                assert_eq!(key, "a");
+                assert_eq!(key.as_str(), "a");
                 assert_eq!(read, Version::new(1, 0));
                 assert_eq!(current, Version::new(2, 0));
             }
@@ -185,7 +185,7 @@ mod tests {
         let r2 = execute(&read, &state);
         let v = validate_block(&[r1, r2], &mut state, 2);
         assert!(v[0].is_valid());
-        assert!(matches!(&v[1], ValidationVerdict::Stale { key, .. } if key == "a"));
+        assert!(matches!(&v[1], ValidationVerdict::Stale { key, .. } if key.as_str() == "a"));
         assert!(state.get("a").is_none());
         assert!(state.get("out").is_none(), "stale tx's writes must not apply");
     }

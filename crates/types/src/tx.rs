@@ -10,13 +10,16 @@
 
 use crate::encode::{CanonicalEncode, Decoder, Encoder};
 use crate::ids::{ClientId, EnterpriseId, TxId};
+use crate::key::KeyId;
 use bytes::Bytes;
 use pbc_crypto::{merkle, Hash};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-/// A state key. Keys are UTF-8 strings; sharding and enterprise views
-/// partition the key space by prefix or hash.
+/// A state key as operations, programs and encodings name it: a UTF-8
+/// string. Sharding and enterprise views partition the key space by
+/// prefix or hash; execution runs on its interned [`KeyId`].
 pub type Key = String;
 
 /// A state value: cheaply clonable bytes.
@@ -362,6 +365,87 @@ pub struct TxInner {
     /// that are never sealed into a block (or doing so inside a timed
     /// set-up section) costs an allocation and no SHA-256.
     leaf: OnceLock<Hash>,
+    /// The interned ids of every key the ops name. Lazy, like `leaf`.
+    keys: OnceLock<TxKeys>,
+}
+
+/// A transaction's keys as interned [`KeyId`]s: resolved once, on first
+/// use, and shared by every clone, so each replica's executor and
+/// scheduler reads integers instead of interning strings. One
+/// allocation, four bytes per key: the op keys, then whichever declared
+/// set is not already a run of them (an accurate declaration names the
+/// program's own keys, a `Transfer` declares its two).
+#[derive(Debug)]
+pub struct TxKeys {
+    ids: Box<[KeyId]>,
+    ops: u32,
+    reads: Range<u32>,
+    writes: Range<u32>,
+}
+
+impl TxKeys {
+    /// Every key the ops name, op by op in order: one for `Get`, `Put`,
+    /// `Incr` and `Delete`; `from`, then `to`, for `Transfer`; none for
+    /// `Noop`; an `Invoke`'s whole program key table, in table order (no
+    /// entries when its bytecode does not decode).
+    pub fn ops(&self) -> &[KeyId] {
+        &self.ids[..self.ops as usize]
+    }
+
+    /// The statically declared read set ([`Op::reads`]): each key once,
+    /// in order of first declaration.
+    pub fn reads(&self) -> &[KeyId] {
+        &self.ids[self.reads.start as usize..self.reads.end as usize]
+    }
+
+    /// The statically declared write set ([`Op::writes`]): each key
+    /// once, in order of first declaration.
+    pub fn writes(&self) -> &[KeyId] {
+        &self.ids[self.writes.start as usize..self.writes.end as usize]
+    }
+}
+
+/// `keys` interned, each once, in order of first occurrence.
+fn distinct<'a>(keys: impl Iterator<Item = &'a str>) -> Vec<KeyId> {
+    let mut ids = Vec::new();
+    KeyId::intern_all(keys, &mut ids);
+    let mut seen = fxhash::FxHashSet::default();
+    ids.retain(|k| seen.insert(*k));
+    ids
+}
+
+/// Where the declared set `keys` sits in `ids`: a run of the first `ops`
+/// ids when `keys` names exactly that run, key by key, and the run holds
+/// no key twice (checked on strings, so nothing is interned); else its
+/// distinct ids, appended.
+fn place<'a>(
+    ids: &mut Vec<KeyId>,
+    ops: usize,
+    keys: impl Iterator<Item = &'a str> + Clone,
+) -> Range<u32> {
+    let n = keys.clone().count();
+    // Only short sets are matched: the distinctness check is pairwise.
+    let run = keys.clone().next().filter(|_| n <= 32).and_then(|first| {
+        let start = ids[..ops].iter().position(|k| k.as_str() == first)?;
+        let run = ids[..ops].get(start..start + n)?;
+        let same = keys.clone().zip(run).all(|(key, id)| id.as_str() == key);
+        let distinct = run.iter().enumerate().all(|(i, id)| !run[..i].contains(id));
+        (same && distinct).then_some(start)
+    });
+    let (start, len) = match run {
+        Some(start) => (start, n),
+        None if n == 0 => (0, 0),
+        None => {
+            let set = distinct(keys);
+            ids.extend_from_slice(&set);
+            (ids.len() - set.len(), set.len())
+        }
+    };
+    index(start)..index(start + len)
+}
+
+fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("fewer than 2^32 keys per transaction")
 }
 
 #[cfg(test)]
@@ -383,7 +467,14 @@ impl Transaction {
 
     /// Creates a transaction with an explicit scope.
     pub fn with_scope(id: TxId, client: ClientId, scope: TxScope, ops: Vec<Op>) -> Self {
-        Transaction(Arc::new(TxInner { id, client, scope, ops, leaf: OnceLock::new() }))
+        Transaction(Arc::new(TxInner {
+            id,
+            client,
+            scope,
+            ops,
+            leaf: OnceLock::new(),
+            keys: OnceLock::new(),
+        }))
     }
 
     /// Creates a global-scope transaction whose whole payload is one VM
@@ -433,6 +524,35 @@ impl Transaction {
             }
         }
         total
+    }
+
+    /// The interned ids of every key this transaction names (see
+    /// [`TxKeys`]), resolved on the first call and shared by every clone.
+    ///
+    /// `key_table` appends the interned key table of one VM program's
+    /// bytecode, and nothing when the bytecode does not decode: the
+    /// bytecode format belongs to `pbc-vm`, which this crate does not
+    /// depend on. It runs on the first call only, so every caller must
+    /// pass the same reader; `pbc_ledger::tx_keys` is the one caller.
+    pub fn key_ids(&self, key_table: fn(&[u8], &mut Vec<KeyId>)) -> &TxKeys {
+        self.0.keys.get_or_init(|| {
+            let mut ids: Vec<KeyId> = Vec::new();
+            for op in &self.ops {
+                match op {
+                    Op::Get { key }
+                    | Op::Put { key, .. }
+                    | Op::Incr { key, .. }
+                    | Op::Delete { key } => ids.push(KeyId::intern(key)),
+                    Op::Transfer { from, to, .. } => KeyId::intern_all([&**from, to], &mut ids),
+                    Op::Noop { .. } => {}
+                    Op::Invoke { call } => key_table(&call.bytecode, &mut ids),
+                }
+            }
+            let ops = ids.len();
+            let reads = place(&mut ids, ops, self.ops.iter().flat_map(Op::reads));
+            let writes = place(&mut ids, ops, self.ops.iter().flat_map(Op::writes));
+            TxKeys { ids: ids.into(), ops: index(ops), reads, writes }
+        })
     }
 
     /// The statically known read set (deduplicated, sorted).
@@ -582,6 +702,59 @@ mod tests {
         );
         assert_eq!(t.read_keys(), vec!["a", "c", "x", "y"]);
         assert_eq!(t.write_keys(), vec!["b", "c", "x", "y"]);
+    }
+
+    /// Every op key resolves in op order; a declared set that names a
+    /// run of the op keys points there, any other is stored as its
+    /// distinct keys; clones share the one resolution.
+    #[test]
+    fn key_ids_resolve_op_keys_and_place_declared_sets() {
+        /// A stand-in bytecode format: the key table, comma-separated.
+        fn table(bytecode: &[u8], ids: &mut Vec<KeyId>) {
+            KeyId::intern_all(std::str::from_utf8(bytecode).unwrap().split(','), ids)
+        }
+        let names = |ids: &[KeyId]| ids.iter().map(|k| k.as_str()).collect::<Vec<_>>();
+        let t = tx(
+            1,
+            vec![
+                Op::Get { key: "tk/a".into() },
+                Op::Put { key: "tk/b".into(), value: Bytes::new() },
+                Op::Incr { key: "tk/a".into(), delta: 1 },
+                Op::Transfer { from: "tk/x".into(), to: "tk/x".into(), amount: 1 },
+                Op::Noop { busy_work: 3 },
+                Op::Delete { key: "tk/b".into() },
+            ],
+        );
+        let k = t.key_ids(table);
+        assert_eq!(names(k.ops()), ["tk/a", "tk/b", "tk/a", "tk/x", "tk/x", "tk/b"]);
+        assert_eq!(names(k.reads()), ["tk/a", "tk/x"]);
+        assert_eq!(names(k.writes()), ["tk/b", "tk/a", "tk/x"]);
+        assert!(std::ptr::eq(k, t.clone().key_ids(table)), "clones share the memo");
+
+        let call = |reads: &[&str], writes: &[&str]| VmCall {
+            bytecode: Bytes::from_static(b"tk/w1,tk/w2,tk/r1,tk/r2"),
+            args: vec![],
+            gas_limit: 1,
+            declared_reads: reads.iter().map(|k| k.to_string()).collect(),
+            declared_writes: writes.iter().map(|k| k.to_string()).collect(),
+        };
+        let accurate = Transaction::invoke(
+            TxId(2),
+            ClientId(0),
+            call(&["tk/r1", "tk/r2"], &["tk/w1", "tk/w2"]),
+        );
+        let k = accurate.key_ids(table);
+        assert_eq!(names(k.ops()), ["tk/w1", "tk/w2", "tk/r1", "tk/r2"]);
+        assert_eq!(names(k.reads()), ["tk/r1", "tk/r2"]);
+        assert_eq!(names(k.writes()), ["tk/w1", "tk/w2"]);
+        assert_eq!(k.ids.len(), 4, "both sets point into the table");
+
+        let decoy =
+            Transaction::invoke(TxId(3), ClientId(0), call(&["tk/d", "tk/d", "tk/r1"], &["tk/w2"]));
+        let k = decoy.key_ids(table);
+        assert_eq!(names(k.reads()), ["tk/d", "tk/r1"]);
+        assert_eq!(names(k.writes()), ["tk/w2"]);
+        assert_eq!(k.ids.len(), 6, "only the set that is no run is stored");
     }
 
     #[test]

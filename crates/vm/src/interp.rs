@@ -9,12 +9,19 @@
 //! a side effect of execution rather than declared up front.
 
 use crate::program::{gas_cost, Instr, Program, STACK_MAX};
+use pbc_types::Key;
 
 /// The state interface a program executes against. Implementations are
 /// expected to provide read-your-writes semantics (a `get` after a `put`
 /// of the same key observes the buffered value) and to record the
 /// footprint: which keys were read from the underlying store and which
 /// were written.
+///
+/// The interpreter calls the `*_at` methods with an index into the
+/// program's key table. By default they look the key string up in
+/// `keys` and call the `&str` method. A host that resolved the table
+/// before the run overrides all four and ignores `keys`, which
+/// [`run_resolved`] passes empty.
 pub trait VmHost {
     /// Reads `key` as a `u64` balance (missing or short values read as
     /// zero, matching `pbc_types::tx::balance_of`).
@@ -25,6 +32,23 @@ pub trait VmHost {
     fn put_bytes(&mut self, key: &str, value: &[u8]);
     /// Buffers a tombstone for `key`.
     fn delete(&mut self, key: &str);
+
+    /// [`VmHost::get`] of key-table entry `index`.
+    fn get_at(&mut self, keys: &[Key], index: usize) -> u64 {
+        self.get(&keys[index])
+    }
+    /// [`VmHost::put`] of key-table entry `index`.
+    fn put_at(&mut self, keys: &[Key], index: usize, value: u64) {
+        self.put(&keys[index], value)
+    }
+    /// [`VmHost::put_bytes`] of key-table entry `index`.
+    fn put_bytes_at(&mut self, keys: &[Key], index: usize, value: &[u8]) {
+        self.put_bytes(&keys[index], value)
+    }
+    /// [`VmHost::delete`] of key-table entry `index`.
+    fn delete_at(&mut self, keys: &[Key], index: usize) {
+        self.delete(&keys[index])
+    }
 }
 
 /// A deterministic runtime fault: the program was structurally valid but
@@ -106,6 +130,21 @@ pub struct VmRun {
 /// faults are stack and dynamic-index errors — all reported as
 /// [`VmStatus::Fault`], never panics.
 pub fn run(program: &Program, args: &[u64], gas_limit: u64, host: &mut dyn VmHost) -> VmRun {
+    run_resolved(program, program.keys.len(), args, gas_limit, host)
+}
+
+/// [`run`] for a host that resolved the program's key table itself: host
+/// instructions may index `0..key_count`, and reach the host only through
+/// the `*_at` methods of [`VmHost`], which the host overrides. `program`
+/// may come from [`Program::from_bytes_split`], with an empty `keys`.
+pub fn run_resolved(
+    program: &Program,
+    key_count: usize,
+    args: &[u64],
+    gas_limit: u64,
+    host: &mut dyn VmHost,
+) -> VmRun {
+    let keys = &program.keys[..];
     let mut stack: Vec<u64> = Vec::with_capacity(16);
     let mut pc: usize = 0;
     let mut gas_used: u64 = 0;
@@ -139,10 +178,10 @@ pub fn run(program: &Program, args: &[u64], gas_limit: u64, host: &mut dyn VmHos
     macro_rules! pop_key {
         () => {{
             let idx = pop!();
-            match program.keys.get(idx as usize) {
-                Some(k) => k.as_str(),
-                None => fault!(FaultKind::KeyIndexOutOfRange(idx)),
+            if idx >= key_count as u64 {
+                fault!(FaultKind::KeyIndexOutOfRange(idx))
             }
+            idx as usize
         }};
     }
 
@@ -240,13 +279,13 @@ pub fn run(program: &Program, args: &[u64], gas_limit: u64, host: &mut dyn VmHos
             }
             Instr::Get => {
                 let key = pop_key!();
-                let v = host.get(key);
+                let v = host.get_at(keys, key);
                 push!(v);
             }
             Instr::Put => {
                 let value = pop!();
                 let key = pop_key!();
-                host.put(key, value);
+                host.put_at(keys, key, value);
             }
             Instr::Incr => {
                 // Pops the delta (two's-complement i64), then the key
@@ -254,21 +293,21 @@ pub fn run(program: &Program, args: &[u64], gas_limit: u64, host: &mut dyn VmHos
                 // semantics exactly.
                 let delta = pop!() as i64;
                 let key = pop_key!();
-                let cur = host.get(key);
+                let cur = host.get_at(keys, key);
                 let next = if delta >= 0 {
                     cur.saturating_add(delta as u64)
                 } else {
                     cur.saturating_sub(delta.unsigned_abs())
                 };
-                host.put(key, next);
+                host.put_at(keys, key, next);
             }
             Instr::Delete => {
                 let key = pop_key!();
-                host.delete(key);
+                host.delete_at(keys, key);
             }
             Instr::PutData(c) => {
                 let key = pop_key!();
-                host.put_bytes(key, &program.consts[c as usize]);
+                host.put_bytes_at(keys, key, &program.consts[c as usize]);
             }
         }
     }

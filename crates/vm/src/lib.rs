@@ -45,10 +45,10 @@ pub mod interp;
 pub mod program;
 
 pub use compile::{compile_ops, ABORT_INSUFFICIENT_FUNDS};
-pub use interp::{run, Fault, FaultKind, VmHost, VmRun, VmStatus};
+pub use interp::{run, run_resolved, Fault, FaultKind, VmHost, VmRun, VmStatus};
 pub use program::{
-    gas_cost, DecodeError, Instr, Program, BYTECODE_VERSION, MAX_CODE, MAX_CONSTS, MAX_CONST_LEN,
-    MAX_KEYS, STACK_MAX,
+    gas_cost, DecodeError, Instr, KeyTable, Program, BYTECODE_VERSION, MAX_CODE, MAX_CONSTS,
+    MAX_CONST_LEN, MAX_KEYS, STACK_MAX,
 };
 
 #[cfg(test)]

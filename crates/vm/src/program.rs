@@ -15,7 +15,7 @@
 //! untrusted clients and torn WAL tails alike.
 
 use pbc_types::encode::{Decoder, Encoder};
-use pbc_types::Key;
+use pbc_types::{Key, KeyId};
 
 /// Bytecode format version byte (first byte of every encoded program).
 pub const BYTECODE_VERSION: u8 = 1;
@@ -209,6 +209,17 @@ impl Program {
     /// faults like stack underflow are still possible, but are reported
     /// as deterministic aborts, never panics).
     pub fn from_bytes(bytes: &[u8]) -> Result<Program, DecodeError> {
+        let (mut program, keys) = Program::from_bytes_split(bytes)?;
+        program.keys = keys.map(str::to_string).collect();
+        Ok(program)
+    }
+
+    /// Decodes and validates bytecode as [`Program::from_bytes`] does,
+    /// but leaves the key table in `bytes`: the returned program's `keys`
+    /// is empty, and the [`KeyTable`] reads the validated entries back,
+    /// in table order, without allocating. For a host that resolves the
+    /// table itself (see [`crate::run_resolved`]).
+    pub fn from_bytes_split(bytes: &[u8]) -> Result<(Program, KeyTable<'_>), DecodeError> {
         let mut d = Decoder::new(bytes);
         let version = d.tag().ok_or(DecodeError::Truncated)?;
         if version != BYTECODE_VERSION {
@@ -226,10 +237,11 @@ impl Program {
         if keys_len > MAX_KEYS {
             return Err(DecodeError::TooLarge { what: "keys", len: keys_len, max: MAX_KEYS });
         }
-        let mut keys = Vec::with_capacity(keys_len);
+        let table_start = bytes.len() - d.remaining();
         for _ in 0..keys_len {
-            keys.push(d.str().ok_or(DecodeError::Truncated)?.to_string());
+            d.str().ok_or(DecodeError::Truncated)?;
         }
+        let table = &bytes[table_start..bytes.len() - d.remaining()];
         let consts_len = d.u32().ok_or(DecodeError::Truncated)? as usize;
         if consts_len > MAX_CONSTS {
             return Err(DecodeError::TooLarge { what: "consts", len: consts_len, max: MAX_CONSTS });
@@ -263,7 +275,17 @@ impl Program {
                 _ => {}
             }
         }
-        Ok(Program { code, keys, consts })
+        let keys = KeyTable { dec: Decoder::new(table), len: keys_len };
+        Ok((Program { code, keys: Vec::new(), consts }, keys))
+    }
+
+    /// Appends the interned ids of `bytecode`'s key table to `ids`, in
+    /// table order; appends nothing when the bytecode does not decode.
+    /// The reader [`pbc_types::Transaction::key_ids`] takes.
+    pub fn intern_key_table(bytecode: &[u8], ids: &mut Vec<KeyId>) {
+        if let Ok((_, keys)) = Program::from_bytes_split(bytecode) {
+            KeyId::intern_all(keys, ids);
+        }
     }
 
     /// Worst-case gas of a straight-line run: the sum of every
@@ -274,6 +296,28 @@ impl Program {
         self.code.iter().map(gas_cost).sum()
     }
 }
+
+/// A program's key table as [`Program::from_bytes_split`] validated it:
+/// the entries, in table order, borrowed from the bytecode.
+pub struct KeyTable<'a> {
+    dec: Decoder<'a>,
+    len: usize,
+}
+
+impl<'a> Iterator for KeyTable<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.len = self.len.checked_sub(1)?;
+        self.dec.str()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len, Some(self.len))
+    }
+}
+
+impl ExactSizeIterator for KeyTable<'_> {}
 
 fn encode_instr(i: &Instr, e: &mut Encoder) {
     match *i {
