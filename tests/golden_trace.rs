@@ -20,8 +20,10 @@
 //! [`pbc_trace::TraceSink`] must not change any digest, because trace
 //! emission makes no RNG draws and no scheduling decisions.
 
+use pbc_consensus::minbft::{MinBftConfig, MinBftReplica};
 use pbc_consensus::pbft::{PbftConfig, PbftMsg, PbftReplica};
 use pbc_consensus::raft::{RaftConfig, RaftMsg, RaftNode, Role};
+use pbc_consensus::OrderingActor;
 use pbc_sim::fault::{FaultModel, LinkFault};
 use pbc_sim::{Network, NetworkConfig};
 
@@ -38,6 +40,106 @@ const GOLDEN_PBFT_FAULTS: u64 = 0x13d2bd2034d53dda;
 /// scheduling (election + heartbeat), crash filtering, and delivery
 /// order under timer pressure.
 const GOLDEN_RAFT_CRASH: u64 = 0xbebc89a9234d6213;
+
+/// IBFT, 4 replicas, the proposer of height 0 crashed before any
+/// request: pins the rotating-proposer view change and its re-proposal.
+const GOLDEN_IBFT_CRASH: Pinned = Pinned {
+    digest: 0x8023021cb4347f6f,
+    logs: &[&[], &[700, 701, 702, 703], &[700, 701, 702, 703], &[700, 701, 702, 703]],
+    counts: [12, 6, 2, 24],
+};
+
+/// MinBFT, 3 replicas, the view-0 primary crashed before any request:
+/// pins the attested view change (`ReqViewChange`, attested `NewView`).
+const GOLDEN_MINBFT_CRASH: Pinned = Pinned {
+    digest: 0x619128dc3e0191a4,
+    logs: &[&[], &[700, 701, 702, 703], &[700, 701, 702, 703]],
+    counts: [8, 2, 0, 0],
+};
+
+/// `PbftConfig::hybrid(2, 1)` (6 replicas, quorum 4), the view-0 primary
+/// crashed before any request: pins the hybrid view change.
+const GOLDEN_HYBRID_CRASH: Pinned = Pinned {
+    digest: 0xf30c0d6b0f5c18bd,
+    logs: &[
+        &[],
+        &[700, 701, 702, 703],
+        &[700, 701, 702, 703],
+        &[700, 701, 702, 703],
+        &[700, 701, 702, 703],
+        &[700, 701, 702, 703],
+    ],
+    counts: [20, 5, 2, 40],
+};
+
+/// What a view-change scenario pins: the schedule digest, every
+/// replica's decided payloads (a crashed replica's included), and the
+/// trace counts of its protocol label as `[commits, view changes,
+/// leaders elected, phases]`.
+struct Pinned {
+    digest: u64,
+    logs: &'static [&'static [u64]],
+    counts: [u64; 4],
+}
+
+/// A view-change scenario's outcome: the schedule digest, every
+/// replica's decided payloads, and the most view changes one replica
+/// entered.
+type CrashRun = (u64, Vec<Vec<u64>>, u64);
+
+/// Crashes node 0 (the first proposer), submits four requests to every
+/// replica and runs past several progress timeouts.
+fn primary_crash_run<A: OrderingActor<Payload = u64>>(
+    actors: Vec<A>,
+    seed: u64,
+    view_changes: impl Fn(&A) -> u64,
+) -> CrashRun {
+    let mut net = Network::new(actors, NetworkConfig { seed, ..Default::default() });
+    net.start();
+    net.crash(0);
+    for i in 0..4 {
+        net.inject_all(0, A::request_msg(700 + i), 1 + i * 7);
+    }
+    net.run_until(600_000);
+    let logs = net.actors().map(|a| a.log().payloads().into_iter().copied().collect()).collect();
+    let most = net.actors().map(view_changes).max().unwrap_or(0);
+    (net.trace_digest(), logs, most)
+}
+
+fn ibft_crash_run() -> CrashRun {
+    let actors = (0..4).map(|_| PbftReplica::new(PbftConfig::ibft(4))).collect();
+    primary_crash_run(actors, 0x1BF7, |r: &PbftReplica<u64>| r.view_changes)
+}
+
+fn minbft_crash_run() -> CrashRun {
+    let cfg = MinBftConfig::new(3);
+    let actors = (0..3).map(|i| MinBftReplica::new(cfg.clone(), i)).collect();
+    primary_crash_run(actors, 0x312B, |r: &MinBftReplica<u64>| r.view_changes)
+}
+
+fn hybrid_crash_run() -> CrashRun {
+    let cfg = PbftConfig::hybrid(2, 1);
+    let actors = (0..cfg.n).map(|_| PbftReplica::new(cfg.clone())).collect();
+    primary_crash_run(actors, 0x4B21, |r: &PbftReplica<u64>| r.view_changes)
+}
+
+/// Runs `run` under a trace sink and checks it against `golden`: a view
+/// change happened, and the digest, the logs and the counts of `label`
+/// are the pinned ones.
+fn assert_pinned(name: &str, label: &str, run: fn() -> CrashRun, golden: &Pinned) {
+    pbc_trace::install(pbc_trace::TraceSink::new(1024));
+    let (digest, logs, view_changes) = run();
+    let sink = pbc_trace::uninstall().expect("sink installed above");
+    assert!(view_changes >= 1, "{name}: the scenario must change view");
+    let m = sink.metrics().proto(label).expect("the protocol emitted events");
+    let logs: Vec<&[u64]> = logs.iter().map(Vec::as_slice).collect();
+    let counts = [m.commits, m.view_changes, m.leaders_elected, m.phases];
+    assert_eq!(
+        (digest, logs, counts),
+        (golden.digest, golden.logs.to_vec(), golden.counts),
+        "{name} diverged from its golden run (digest {digest:#018x})"
+    );
+}
 
 fn pbft_actors(n: usize) -> Vec<PbftReplica<u64>> {
     (0..n).map(|_| PbftReplica::new(PbftConfig::new(n))).collect()
@@ -154,6 +256,21 @@ fn raft_crash_trace_matches_golden() {
     );
 }
 
+#[test]
+fn ibft_proposer_crash_matches_golden() {
+    assert_pinned("ibft-crash", "ibft", ibft_crash_run, &GOLDEN_IBFT_CRASH);
+}
+
+#[test]
+fn minbft_primary_crash_matches_golden() {
+    assert_pinned("minbft-crash", "minbft", minbft_crash_run, &GOLDEN_MINBFT_CRASH);
+}
+
+#[test]
+fn hybrid_primary_crash_matches_golden() {
+    assert_pinned("hybrid-crash", "pbft", hybrid_crash_run, &GOLDEN_HYBRID_CRASH);
+}
+
 /// The digest itself is reproducible: two identical runs fold to the
 /// same value, and a different seed folds to a different one.
 #[test]
@@ -221,10 +338,13 @@ fn durable_store_does_not_perturb_golden_schedule() {
 #[test]
 fn trace_sink_does_not_perturb_golden_schedules() {
     type Scenario = (&'static str, fn() -> u64, u64);
-    let scenarios: [Scenario; 3] = [
+    let scenarios: [Scenario; 6] = [
         ("pbft-healthy", pbft_healthy_digest, GOLDEN_PBFT_HEALTHY),
         ("pbft-faults", pbft_faults_digest, GOLDEN_PBFT_FAULTS),
         ("raft-crash", raft_crash_digest, GOLDEN_RAFT_CRASH),
+        ("ibft-crash", || ibft_crash_run().0, GOLDEN_IBFT_CRASH.digest),
+        ("minbft-crash", || minbft_crash_run().0, GOLDEN_MINBFT_CRASH.digest),
+        ("hybrid-crash", || hybrid_crash_run().0, GOLDEN_HYBRID_CRASH.digest),
     ];
     for (name, run, golden) in scenarios {
         pbc_trace::install(pbc_trace::TraceSink::new(1024));
