@@ -16,9 +16,9 @@
 //! protocol actors (including Byzantine test actors) can only obtain
 //! attestations through [`Usig::attest`], which they cannot rewind.
 
+use fxhash::{FxHashMap, FxHashSet};
 use pbc_crypto::hmac::HmacKey;
 use pbc_crypto::Hash;
-use std::collections::{HashMap, HashSet};
 
 /// A counter-bound MAC over a message digest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,15 +96,15 @@ impl Usig {
 /// tracks used counters per node to reject replays/equivocation.
 #[derive(Clone, Debug, Default)]
 pub struct A2mVerifier {
-    keys: HashMap<usize, HmacKey>,
-    used: HashMap<usize, HashSet<u64>>,
+    keys: FxHashMap<usize, HmacKey>,
+    used: FxHashMap<usize, FxHashSet<u64>>,
 }
 
 impl A2mVerifier {
     /// Builds a verifier for nodes `0..n` provisioned with `seed`.
     pub fn new(seed: u64, n: usize) -> Self {
         let keys = (0..n).map(|i| (i, HmacKey::new(&module_key(seed, i)))).collect();
-        A2mVerifier { keys, used: HashMap::new() }
+        A2mVerifier { keys, used: FxHashMap::default() }
     }
 
     /// Verifies the MAC only (no freshness tracking).

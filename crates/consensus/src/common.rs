@@ -1,5 +1,8 @@
 //! Shared consensus vocabulary: payloads, decided logs, quorum math and
-//! the voter sets counted against it.
+//! the voter sets counted against it, and the view-change core of the
+//! primary-backup replicas.
+
+pub(crate) mod view_change;
 
 use pbc_sim::{NodeIdx, SimTime};
 use pbc_types::encode::{Decoder, Encoder};
@@ -339,6 +342,36 @@ impl Voters {
 impl std::fmt::Debug for Voters {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// Writes a replica's delivered digests as their count, then each digest
+/// ascending, so the record does not depend on the set's order.
+pub(crate) fn encode_digests(e: &mut Encoder, digests: &fxhash::FxHashSet<u64>) {
+    let mut sorted: Vec<u64> = digests.iter().copied().collect();
+    sorted.sort_unstable();
+    e.u64(sorted.len() as u64);
+    for d in sorted {
+        e.u64(d);
+    }
+}
+
+/// Reads what [`encode_digests`] wrote.
+pub(crate) fn decode_digests(d: &mut Decoder<'_>) -> Option<fxhash::FxHashSet<u64>> {
+    let count = d.u64()?;
+    let mut digests = fxhash::FxHashSet::default();
+    for _ in 0..count {
+        digests.insert(d.u64()?);
+    }
+    Some(digests)
+}
+
+/// Reads a flag written as tag 0 or 1; `None` on any other tag.
+pub(crate) fn decode_flag(d: &mut Decoder<'_>) -> Option<bool> {
+    match d.tag()? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
     }
 }
 

@@ -14,8 +14,9 @@
 //! a newer justify QC.
 
 use crate::common::{hooks, quorum, DecidedLog, Payload, Tally, Voters};
+use fxhash::{FxHashMap, FxHashSet};
 use pbc_sim::{Actor, Context, Durable, Message, NodeIdx, SimTime};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// A quorum certificate over `(phase, view, digest)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,7 +135,7 @@ const GENESIS: u64 = 0;
 pub struct HotStuffReplica<P> {
     cfg: HotStuffConfig,
     view: u64,
-    blocks: HashMap<u64, BlockRec<P>>,
+    blocks: FxHashMap<u64, BlockRec<P>>,
     /// Highest prepare QC seen (what new proposals extend).
     prepare_qc: Qc,
     /// Locked QC (set at commit phase).
@@ -144,8 +145,8 @@ pub struct HotStuffReplica<P> {
     /// Leader NewView tallies: view → (senders, highest justify).
     new_views: fxhash::FxHashMap<u64, (Voters, Qc)>,
     pending: BTreeMap<u64, P>,
-    delivered_digests: HashSet<u64>,
-    proposed_in_view: HashSet<u64>,
+    delivered_digests: FxHashSet<u64>,
+    proposed_in_view: FxHashSet<u64>,
     next_commit_seq: u64,
     nonce: u64,
     /// The in-order decided log.
@@ -157,7 +158,7 @@ pub struct HotStuffReplica<P> {
 impl<P: Payload> HotStuffReplica<P> {
     /// Creates a replica.
     pub fn new(cfg: HotStuffConfig) -> Self {
-        let mut blocks = HashMap::new();
+        let mut blocks = FxHashMap::default();
         blocks.insert(GENESIS, BlockRec { parent: GENESIS, payload: None, committed: true });
         HotStuffReplica {
             cfg,
@@ -168,8 +169,8 @@ impl<P: Payload> HotStuffReplica<P> {
             votes: Tally::default(),
             new_views: Default::default(),
             pending: BTreeMap::new(),
-            delivered_digests: HashSet::new(),
-            proposed_in_view: HashSet::new(),
+            delivered_digests: FxHashSet::default(),
+            proposed_in_view: FxHashSet::default(),
             next_commit_seq: 0,
             nonce: 1,
             log: DecidedLog::default(),
@@ -437,7 +438,7 @@ pub struct HsStable<P> {
     blocks: Vec<(u64, u64, Option<P>, bool)>,
     prepare_qc: Qc,
     locked_qc: Qc,
-    delivered_digests: HashSet<u64>,
+    delivered_digests: FxHashSet<u64>,
     next_commit_seq: u64,
     nonce: u64,
     decided: Vec<(u64, P, SimTime)>,
@@ -510,12 +511,7 @@ impl<P: crate::common::PersistPayload> Durable for HotStuffReplica<P> {
         }
         e.u64(stable.prepare_qc.view).u64(stable.prepare_qc.digest);
         e.u64(stable.locked_qc.view).u64(stable.locked_qc.digest);
-        let mut digests: Vec<u64> = stable.delivered_digests.iter().copied().collect();
-        digests.sort_unstable();
-        e.u64(digests.len() as u64);
-        for d in digests {
-            e.u64(d);
-        }
+        crate::common::encode_digests(&mut e, &stable.delivered_digests);
         e.u64(stable.next_commit_seq).u64(stable.nonce);
         e.u64(stable.decided.len() as u64);
         for (seq, payload, time) in &stable.decided {
@@ -537,20 +533,12 @@ impl<P: crate::common::PersistPayload> Durable for HotStuffReplica<P> {
                 1 => Some(P::from_bytes(d.bytes()?)?),
                 _ => return None,
             };
-            let committed = match d.tag()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
+            let committed = crate::common::decode_flag(&mut d)?;
             blocks.push((digest, parent, payload, committed));
         }
         let prepare_qc = Qc { view: d.u64()?, digest: d.u64()? };
         let locked_qc = Qc { view: d.u64()?, digest: d.u64()? };
-        let n_digests = d.u64()? as usize;
-        let mut delivered_digests = HashSet::with_capacity(n_digests.min(1024));
-        for _ in 0..n_digests {
-            delivered_digests.insert(d.u64()?);
-        }
+        let delivered_digests = crate::common::decode_digests(&mut d)?;
         let next_commit_seq = d.u64()?;
         let nonce = d.u64()?;
         let n_decided = d.u64()? as usize;
@@ -580,7 +568,7 @@ impl<P: crate::common::PersistPayload> Durable for HotStuffReplica<P> {
             blocks: vec![(GENESIS, GENESIS, None, true)],
             prepare_qc: Qc { view: 0, digest: GENESIS },
             locked_qc: Qc { view: 0, digest: GENESIS },
-            delivered_digests: HashSet::new(),
+            delivered_digests: FxHashSet::default(),
             next_commit_seq: 0,
             nonce: 1,
             decided: Vec::new(),

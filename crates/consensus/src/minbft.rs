@@ -12,9 +12,11 @@
 //! E10's subject).
 
 use crate::a2m::{A2mVerifier, Attestation, Usig};
+use crate::common::view_change::{Slots, ViewChangeCore};
 use crate::common::{hooks, DecidedLog, Payload, Tally, Voters};
+use fxhash::{FxHashMap, FxHashSet};
 use pbc_sim::{Actor, Context, Durable, Message, NodeIdx, SimTime};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// MinBFT wire messages.
 #[derive(Clone, Debug)]
@@ -144,24 +146,35 @@ impl<P> Default for SlotState<P> {
     }
 }
 
+/// Slots `slots` accepted but not decided — the cargo of a view-change
+/// request.
+fn accepted_undecided<P: Clone>(slots: &BTreeMap<u64, SlotState<P>>) -> Slots<P> {
+    slots
+        .iter()
+        .filter(|(_, s)| !s.decided)
+        .filter_map(|(seq, s)| Some((*seq, s.payload.clone()?)))
+        .collect()
+}
+
+/// The digest a `NewView`'s attestation binds: its view and proposals.
+fn new_view_digest<P: Payload>(view: u64, proposals: &[(u64, P)]) -> u64 {
+    proposals.iter().fold(view, |acc, (s, p)| acc ^ prepare_digest(view, *s, p.digest_u64()))
+}
+
 /// One MinBFT replica (owns its trusted USIG module).
 #[derive(Debug)]
 pub struct MinBftReplica<P> {
     cfg: MinBftConfig,
-    view: u64,
     usig: Usig,
     verifier: A2mVerifier,
     slots: BTreeMap<u64, SlotState<P>>,
-    pending: BTreeMap<u64, P>,
-    delivered_digests: HashSet<u64>,
-    assigned: HashMap<u64, u64>,
-    next_assign: u64,
-    vc_votes: HashMap<u64, HashMap<NodeIdx, Vec<(u64, P)>>>,
+    /// View, pending requests, assignments and view-change votes.
+    vc: ViewChangeCore<P>,
     /// Catch-up vouchers: `(seq, digest)` → senders who attested it as
     /// decided. Volatile bookkeeping; rebuilt from scratch after a crash.
     catchup_votes: Tally<(u64, u64)>,
     /// Payloads carried by catch-up vouchers, keyed by digest.
-    catchup_payloads: HashMap<u64, P>,
+    catchup_payloads: FxHashMap<u64, P>,
     /// The in-order decided log.
     pub log: DecidedLog<P>,
     /// View changes entered (observability).
@@ -174,17 +187,12 @@ impl<P: Payload> MinBftReplica<P> {
         let usig = Usig::new(cfg.a2m_seed, id);
         let verifier = A2mVerifier::new(cfg.a2m_seed, cfg.n);
         MinBftReplica {
-            view: 0,
             usig,
             verifier,
             slots: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            delivered_digests: HashSet::new(),
-            assigned: HashMap::new(),
-            next_assign: 0,
-            vc_votes: HashMap::new(),
+            vc: ViewChangeCore::new("minbft", cfg.timeout),
             catchup_votes: Tally::default(),
-            catchup_payloads: HashMap::new(),
+            catchup_payloads: FxHashMap::default(),
             log: DecidedLog::default(),
             view_changes: 0,
             cfg,
@@ -193,67 +201,43 @@ impl<P: Payload> MinBftReplica<P> {
 
     /// Current view.
     pub fn view(&self) -> u64 {
-        self.view
+        self.vc.view()
     }
 
     fn try_propose(&mut self, ctx: &mut Context<MinBftMsg<P>>) {
-        if self.cfg.primary(self.view) != ctx.self_id {
+        let view = self.vc.view();
+        if self.cfg.primary(view) != ctx.self_id {
             return;
         }
-        let unassigned: Vec<(u64, P)> = self
-            .pending
-            .iter()
-            .filter(|(d, _)| !self.assigned.contains_key(d))
-            .map(|(d, p)| (*d, p.clone()))
-            .collect();
-        if !unassigned.is_empty() {
-            hooks::leader("minbft", ctx.self_id, ctx.now, self.view);
+        let fresh = self.vc.assign_pending();
+        if !fresh.is_empty() {
+            hooks::leader("minbft", ctx.self_id, ctx.now, view);
         }
-        for (digest, payload) in unassigned {
-            let seq = self.next_assign;
-            self.next_assign += 1;
-            self.assigned.insert(digest, seq);
-            let att = self.usig.attest(prepare_digest(self.view, seq, digest));
-            ctx.broadcast(MinBftMsg::Prepare { view: self.view, seq, payload, att });
+        for (seq, digest, payload) in fresh {
+            let att = self.usig.attest(prepare_digest(view, seq, digest));
+            ctx.broadcast(MinBftMsg::Prepare { view, seq, payload, att });
         }
     }
 
-    fn accept_prepare(
-        &mut self,
-        from: NodeIdx,
-        view: u64,
-        seq: u64,
-        payload: P,
-        att: &Attestation,
-        ctx: &mut Context<MinBftMsg<P>>,
-    ) {
-        if view != self.view || self.cfg.primary(view) != from || att.node != from {
-            return;
-        }
+    /// Accepts `payload` into slot `seq` unless it was delivered or the
+    /// slot is taken, and votes to commit it.
+    fn accept(&mut self, view: u64, seq: u64, payload: &P, ctx: &mut Context<MinBftMsg<P>>) {
         let pd = payload.digest_u64();
-        if att.digest != prepare_digest(view, seq, pd) {
-            return;
-        }
-        // Trusted-module check: MAC valid and counter never seen before.
-        // A primary equivocating on `seq` would need to reuse a counter.
-        if !self.verifier.verify_fresh(att) {
-            return;
-        }
-        if self.delivered_digests.contains(&pd) {
+        if self.vc.delivered_digests.contains(&pd) {
             return;
         }
         let slot = self.slots.entry(seq).or_default();
         if slot.decided || slot.payload.is_some() {
             return;
         }
-        slot.payload = Some(payload);
+        slot.payload = Some(payload.clone());
         slot.digest = pd;
-        self.assigned.insert(pd, seq);
+        self.vc.assigned.insert(pd, seq);
         ctx.broadcast(MinBftMsg::Commit { view, seq, digest: pd });
-        self.check_decide(seq, ctx.self_id, ctx.now);
+        self.check_decide(seq, ctx);
     }
 
-    fn check_decide(&mut self, seq: u64, node: NodeIdx, now: SimTime) {
+    fn check_decide(&mut self, seq: u64, ctx: &Context<MinBftMsg<P>>) {
         let q = self.cfg.quorum();
         let Some(slot) = self.slots.get_mut(&seq) else {
             return;
@@ -265,68 +249,35 @@ impl<P: Payload> MinBftReplica<P> {
             slot.decided = true;
             let payload = slot.payload.clone().expect("payload set");
             let pd = slot.digest;
-            self.pending.remove(&pd);
-            self.delivered_digests.insert(pd);
-            hooks::commit("minbft", node, now, seq, pd);
-            self.log.decide(seq, payload, now);
+            self.vc.decide(&mut self.log, ctx, seq, pd, payload);
         }
     }
 
-    fn accepted_undecided(&self) -> Vec<(u64, P)> {
-        self.slots
-            .iter()
-            .filter(|(_, s)| !s.decided && s.payload.is_some())
-            .map(|(seq, s)| (*seq, s.payload.clone().expect("payload set")))
-            .collect()
+    /// Enters `new_view` (on a timeout or by joining), requesting it
+    /// with this replica's accepted slots.
+    fn change_view(&mut self, new_view: u64, ctx: &mut Context<MinBftMsg<P>>) {
+        self.view_changes += 1;
+        let vote = MinBftMsg::ReqViewChange { new_view, accepted: accepted_undecided(&self.slots) };
+        self.vc.enter_view(new_view, vote, ctx);
     }
 
-    fn arm_timer(&mut self, ctx: &mut Context<MinBftMsg<P>>) {
-        if !self.pending.is_empty() {
-            ctx.set_timer(self.cfg.timeout, self.view);
-        }
-    }
-
+    /// As the primary of `new_view`, announces it, attested, once a
+    /// quorum requested it. The union of accepted slots across the quorum
+    /// covers every slot that could have decided anywhere (f+1 ∩ f+1 ≥ 1
+    /// of 2f+1).
     fn maybe_new_view(&mut self, new_view: u64, ctx: &mut Context<MinBftMsg<P>>) {
         if self.cfg.primary(new_view) != ctx.self_id {
             return;
         }
-        let Some(votes) = self.vc_votes.get(&new_view) else {
+        let slots = &self.slots;
+        let own = || accepted_undecided(slots);
+        let next_seq = self.log.next_seq();
+        let Some(proposals) = self.vc.merge(new_view, self.cfg.quorum(), next_seq, false, own)
+        else {
             return;
         };
-        if votes.len() < self.cfg.quorum() {
-            return;
-        }
-        // Union of accepted slots across the quorum covers every slot
-        // that could have decided anywhere (f+1 ∩ f+1 ≥ 1 of 2f+1).
-        let mut proposals: BTreeMap<u64, P> = BTreeMap::new();
-        for accepted in votes.values() {
-            for (seq, payload) in accepted {
-                proposals.entry(*seq).or_insert_with(|| payload.clone());
-            }
-        }
-        for (seq, payload) in self.accepted_undecided() {
-            proposals.entry(seq).or_insert(payload);
-        }
-        self.view = self.view.max(new_view);
-        self.assigned.clear();
-        let mut max_seq = self.log.next_seq();
-        for seq in proposals.keys() {
-            max_seq = max_seq.max(seq + 1);
-        }
-        let covered: HashSet<u64> = proposals.values().map(|p| p.digest_u64()).collect();
-        let uncovered: Vec<P> =
-            self.pending.values().filter(|p| !covered.contains(&p.digest_u64())).cloned().collect();
-        for p in uncovered {
-            proposals.insert(max_seq, p);
-            max_seq += 1;
-        }
-        self.next_assign = max_seq;
-        let list: Vec<(u64, P)> = proposals.into_iter().collect();
-        let digest = list
-            .iter()
-            .fold(new_view, |acc, (s, p)| acc ^ prepare_digest(new_view, *s, p.digest_u64()));
-        let att = self.usig.attest(digest);
-        ctx.broadcast(MinBftMsg::NewView { view: new_view, proposals: list, att });
+        let att = self.usig.attest(new_view_digest(new_view, &proposals));
+        ctx.broadcast(MinBftMsg::NewView { view: new_view, proposals, att });
     }
 
     /// Order-independent digest of a catch-up batch. The `u64::MAX`
@@ -368,19 +319,25 @@ impl<P: Payload> Actor for MinBftReplica<P> {
     fn on_message(&mut self, from: NodeIdx, msg: &MinBftMsg<P>, ctx: &mut Context<MinBftMsg<P>>) {
         match msg {
             MinBftMsg::Request(p) => {
-                let d = p.digest_u64();
-                if self.delivered_digests.contains(&d) || self.pending.contains_key(&d) {
-                    return;
+                if self.vc.admit(p, ctx) {
+                    self.try_propose(ctx);
                 }
-                self.pending.insert(d, p.clone());
-                self.arm_timer(ctx);
-                self.try_propose(ctx);
             }
             MinBftMsg::Prepare { view, seq, payload, att } => {
-                self.accept_prepare(from, *view, *seq, payload.clone(), att, ctx);
+                // Trusted-module check last: MAC valid and counter never
+                // seen before. A primary equivocating on `seq` would need
+                // to reuse a counter.
+                if *view == self.vc.view()
+                    && self.cfg.primary(*view) == from
+                    && att.node == from
+                    && att.digest == prepare_digest(*view, *seq, payload.digest_u64())
+                    && self.verifier.verify_fresh(att)
+                {
+                    self.accept(*view, *seq, payload, ctx);
+                }
             }
             MinBftMsg::Commit { view, seq, digest } => {
-                if *view != self.view {
+                if *view != self.vc.view() {
                     return;
                 }
                 let slot = self.slots.entry(*seq).or_default();
@@ -388,10 +345,10 @@ impl<P: Payload> Actor for MinBftReplica<P> {
                     return; // conflicting commit for another payload
                 }
                 slot.commits.insert(from);
-                self.check_decide(*seq, ctx.self_id, ctx.now);
+                self.check_decide(*seq, ctx);
             }
             MinBftMsg::ReqViewChange { new_view, accepted } => {
-                if *new_view < self.view {
+                if *new_view < self.vc.view() {
                     return;
                 }
                 // A replica with nothing in flight won't join the view
@@ -399,52 +356,30 @@ impl<P: Payload> Actor for MinBftReplica<P> {
                 // we already decided (it missed a prepare or the
                 // commits). Vouch our decided log so it can catch up;
                 // it installs a slot only once f+1 senders agree.
-                if *new_view > self.view && self.pending.is_empty() {
+                if *new_view > self.vc.view() && self.vc.pending.is_empty() {
                     self.send_catchup(from, ctx);
                 }
-                self.vc_votes.entry(*new_view).or_default().insert(from, accepted.clone());
-                if *new_view > self.view && self.vc_votes[new_view].len() >= self.cfg.quorum() {
-                    self.view = *new_view;
-                    self.view_changes += 1;
-                    hooks::view_change("minbft", ctx.self_id, ctx.now, *new_view);
-                    self.assigned.clear();
-                    ctx.broadcast(MinBftMsg::ReqViewChange {
-                        new_view: *new_view,
-                        accepted: self.accepted_undecided(),
-                    });
-                    self.arm_timer(ctx);
+                if self.vc.vote(from, *new_view, accepted, self.cfg.quorum()) {
+                    self.change_view(*new_view, ctx);
                 }
                 self.maybe_new_view(*new_view, ctx);
             }
             MinBftMsg::NewView { view, proposals, att } => {
-                if *view < self.view || self.cfg.primary(*view) != from || att.node != from {
+                if *view < self.vc.view() || self.cfg.primary(*view) != from || att.node != from {
                     return;
                 }
-                let digest = proposals
-                    .iter()
-                    .fold(*view, |acc, (s, p)| acc ^ prepare_digest(*view, *s, p.digest_u64()));
-                if att.digest != digest || !self.verifier.verify_fresh(att) {
+                if att.digest != new_view_digest(*view, proposals)
+                    || !self.verifier.verify_fresh(att)
+                {
                     return;
                 }
-                self.view = *view;
+                self.vc.install(*view);
                 for (seq, payload) in proposals {
                     // Treat as prepares: accept and commit-vote. (Attested
                     // collectively by the NewView attestation.)
-                    let pd = payload.digest_u64();
-                    if self.delivered_digests.contains(&pd) {
-                        continue;
-                    }
-                    let slot = self.slots.entry(*seq).or_default();
-                    if slot.decided || slot.payload.is_some() {
-                        continue;
-                    }
-                    slot.payload = Some(payload.clone());
-                    slot.digest = pd;
-                    self.assigned.insert(pd, *seq);
-                    ctx.broadcast(MinBftMsg::Commit { view: *view, seq: *seq, digest: pd });
-                    self.check_decide(*seq, ctx.self_id, ctx.now);
+                    self.accept(*view, *seq, payload, ctx);
                 }
-                self.arm_timer(ctx);
+                self.vc.arm_timer(ctx);
             }
             MinBftMsg::CatchUp { entries, att } => {
                 if att.node != from
@@ -456,7 +391,7 @@ impl<P: Payload> Actor for MinBftReplica<P> {
                 let q = self.cfg.quorum();
                 for (seq, payload) in entries {
                     let pd = payload.digest_u64();
-                    if self.delivered_digests.contains(&pd)
+                    if self.vc.delivered_digests.contains(&pd)
                         || self.slots.get(seq).is_some_and(|s| s.decided)
                     {
                         continue;
@@ -472,10 +407,7 @@ impl<P: Payload> Actor for MinBftReplica<P> {
                         slot.payload = Some(payload.clone());
                         slot.digest = pd;
                         slot.decided = true;
-                        self.pending.remove(&pd);
-                        self.delivered_digests.insert(pd);
-                        hooks::commit("minbft", ctx.self_id, ctx.now, *seq, pd);
-                        self.log.decide(*seq, payload, ctx.now);
+                        self.vc.decide(&mut self.log, ctx, *seq, pd, payload);
                     }
                 }
             }
@@ -483,16 +415,9 @@ impl<P: Payload> Actor for MinBftReplica<P> {
     }
 
     fn on_timer(&mut self, timer_view: u64, ctx: &mut Context<MinBftMsg<P>>) {
-        if timer_view != self.view || self.pending.is_empty() {
-            return;
+        if self.vc.timed_out(timer_view) {
+            self.change_view(self.vc.view() + 1, ctx);
         }
-        let new_view = self.view + 1;
-        self.view = new_view;
-        self.view_changes += 1;
-        hooks::view_change("minbft", ctx.self_id, ctx.now, new_view);
-        self.assigned.clear();
-        ctx.broadcast(MinBftMsg::ReqViewChange { new_view, accepted: self.accepted_undecided() });
-        self.arm_timer(ctx);
     }
 }
 
@@ -508,7 +433,7 @@ pub struct MinBftStable<P> {
     usig_counter: u64,
     verifier: A2mVerifier,
     slots: BTreeMap<u64, SlotState<P>>,
-    delivered_digests: HashSet<u64>,
+    delivered_digests: FxHashSet<u64>,
     decided: Vec<(u64, P, SimTime)>,
 }
 
@@ -519,11 +444,11 @@ impl<P: crate::common::PersistPayload> Durable for MinBftReplica<P> {
 
     fn checkpoint(&self) -> MinBftStable<P> {
         MinBftStable {
-            view: self.view,
+            view: self.vc.view(),
             usig_counter: self.usig.counter(),
             verifier: self.verifier.clone(),
             slots: self.slots.clone(),
-            delivered_digests: self.delivered_digests.clone(),
+            delivered_digests: self.vc.delivered_digests.clone(),
             decided: self.log.snapshot(),
         }
     }
@@ -531,18 +456,13 @@ impl<P: crate::common::PersistPayload> Durable for MinBftReplica<P> {
     fn restore(crashed: &Self, stable: MinBftStable<P>) -> Self {
         let id = crashed.usig.node();
         let mut r = MinBftReplica::new(crashed.cfg.clone(), id);
-        r.view = stable.view;
+        let accepted =
+            stable.slots.iter().map(|(seq, s)| (*seq, s.payload.is_some().then_some(s.digest)));
+        r.vc.restore(stable.view, stable.delivered_digests, accepted.collect());
         r.usig = Usig::resume(crashed.cfg.a2m_seed, id, stable.usig_counter);
         r.verifier = stable.verifier;
         r.slots = stable.slots;
-        r.delivered_digests = stable.delivered_digests;
         r.log = DecidedLog::from_snapshot(0, stable.decided);
-        for (seq, slot) in &r.slots {
-            if slot.payload.is_some() {
-                r.assigned.insert(slot.digest, *seq);
-            }
-            r.next_assign = r.next_assign.max(seq + 1);
-        }
         r
     }
 
@@ -576,12 +496,7 @@ impl<P: crate::common::PersistPayload> Durable for MinBftReplica<P> {
             slot.commits.encode(&mut e);
             e.tag(slot.decided as u8);
         }
-        let mut digests: Vec<u64> = stable.delivered_digests.iter().copied().collect();
-        digests.sort_unstable();
-        e.u64(digests.len() as u64);
-        for d in digests {
-            e.u64(d);
-        }
+        crate::common::encode_digests(&mut e, &stable.delivered_digests);
         e.u64(stable.decided.len() as u64);
         for (seq, payload, time) in &stable.decided {
             e.u64(*seq).bytes(&payload.to_bytes()).u64(*time);
@@ -613,18 +528,10 @@ impl<P: crate::common::PersistPayload> Durable for MinBftReplica<P> {
             };
             let digest = d.u64()?;
             let commits = Voters::decode(&mut d, crashed.cfg.n)?;
-            let decided = match d.tag()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
+            let decided = crate::common::decode_flag(&mut d)?;
             slots.insert(seq, SlotState { payload, digest, commits, decided });
         }
-        let n_digests = d.u64()? as usize;
-        let mut delivered_digests = HashSet::with_capacity(n_digests.min(1024));
-        for _ in 0..n_digests {
-            delivered_digests.insert(d.u64()?);
-        }
+        let delivered_digests = crate::common::decode_digests(&mut d)?;
         let n_decided = d.u64()? as usize;
         let mut decided = Vec::with_capacity(n_decided.min(1024));
         for _ in 0..n_decided {
@@ -652,7 +559,7 @@ impl<P: crate::common::PersistPayload> Durable for MinBftReplica<P> {
             usig_counter: crashed.usig.counter(),
             verifier: A2mVerifier::new(crashed.cfg.a2m_seed, crashed.cfg.n),
             slots: BTreeMap::new(),
-            delivered_digests: HashSet::new(),
+            delivered_digests: FxHashSet::default(),
             decided: Vec::new(),
         }
     }
@@ -661,6 +568,7 @@ impl<P: crate::common::PersistPayload> Durable for MinBftReplica<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbc_sim::actor::Effect;
     use pbc_sim::{Network, NetworkConfig};
 
     fn cluster(n: usize, seed: u64) -> Network<MinBftReplica<u64>> {
@@ -914,6 +822,37 @@ mod tests {
             assert!(MinBftReplica::apply(&actor, &mut stable, &record).is_none(), "{voters:?}");
         }
         assert_eq!(snapshot(stable), before);
+    }
+
+    /// The view-1 primary of three, handed view-change requests from
+    /// node 2 with `(slot 0, 7)`, from node 0 with `(slot 0, 666)` and its
+    /// own with `(slot 0, 7)`, announces the same `NewView`s in every
+    /// fresh replica: one at the quorum of two, one more on the third
+    /// request. The lowest sender's report wins (666, from node 0) until
+    /// view changes carry evidence (ROADMAP item 2).
+    #[test]
+    fn the_new_view_merge_is_the_same_in_every_replica() {
+        let new_views = || {
+            let mut r = MinBftReplica::<u64>::new(MinBftConfig::new(3), 1);
+            let mut announced = Vec::new();
+            for (from, payload) in [(2, 7), (0, 666), (1, 7)] {
+                let msg = MinBftMsg::ReqViewChange { new_view: 1, accepted: vec![(0, payload)] };
+                let mut ctx = Context::standalone(1, 1, 3);
+                r.on_message(from, &msg, &mut ctx);
+                for effect in ctx.take_effects() {
+                    if let Effect::Broadcast { msg: MinBftMsg::NewView { proposals, .. } } = effect
+                    {
+                        announced.push(proposals);
+                    }
+                }
+            }
+            announced
+        };
+        let first = new_views();
+        assert_eq!(first, vec![vec![(0, 666)], vec![(0, 666)]]);
+        for _ in 1..20 {
+            assert_eq!(new_views(), first);
+        }
     }
 
     proptest::proptest! {

@@ -9,8 +9,9 @@
 //! timeout claims leadership with a higher ballot.
 
 use crate::common::{hooks, quorum, DecidedLog, Payload, Tally};
+use fxhash::{FxHashMap, FxHashSet};
 use pbc_sim::{Actor, Context, Durable, Message, NodeIdx, SimTime};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Paxos wire messages.
 #[derive(Clone, Debug)]
@@ -94,15 +95,17 @@ pub struct PaxosNode<P> {
     // --- proposer ---
     ballot: u64,
     leading: bool,
-    promises: HashMap<NodeIdx, Vec<(u64, u64, P)>>,
+    /// Promises for `ballot` by sender, so the merge reads them in
+    /// ascending sender order.
+    promises: BTreeMap<NodeIdx, Vec<(u64, u64, P)>>,
     next_slot: u64,
     /// digest → slot proposed (this leadership).
-    proposed: HashMap<u64, u64>,
+    proposed: FxHashMap<u64, u64>,
     // --- learner ---
     learn_votes: Tally<(u64, u64)>,
     // --- requests ---
     pending: BTreeMap<u64, P>,
-    delivered_digests: HashSet<u64>,
+    delivered_digests: FxHashSet<u64>,
     /// The in-order decided log.
     pub log: DecidedLog<P>,
     /// Leadership takeover attempts (observability).
@@ -119,12 +122,12 @@ impl<P: Payload> PaxosNode<P> {
             accepted: BTreeMap::new(),
             ballot: 0,
             leading: false,
-            promises: HashMap::new(),
+            promises: BTreeMap::new(),
             next_slot: 0,
-            proposed: HashMap::new(),
+            proposed: FxHashMap::default(),
             learn_votes: Tally::default(),
             pending: BTreeMap::new(),
-            delivered_digests: HashSet::new(),
+            delivered_digests: FxHashSet::default(),
             log: DecidedLog::default(),
             takeovers: 0,
             cfg,
@@ -231,7 +234,8 @@ impl<P: Payload> Actor for PaxosNode<P> {
                     self.leading = true;
                     hooks::leader("paxos", ctx.self_id, ctx.now, self.ballot);
                     self.proposed.clear();
-                    // Re-propose the highest-ballot accepted value per slot.
+                    // Re-propose the highest-ballot accepted value per slot;
+                    // of equal ballots, the lowest sender's.
                     let mut per_slot: BTreeMap<u64, (u64, P)> = BTreeMap::new();
                     for acc in self.promises.values() {
                         for (slot, b, v) in acc {
@@ -302,7 +306,7 @@ impl<P: Payload> Actor for PaxosNode<P> {
 pub struct PaxosStable<P> {
     promised: u64,
     accepted: BTreeMap<u64, (u64, P)>,
-    delivered_digests: HashSet<u64>,
+    delivered_digests: FxHashSet<u64>,
     decided: Vec<(u64, P, SimTime)>,
 }
 
@@ -338,12 +342,7 @@ impl<P: crate::common::PersistPayload> Durable for PaxosNode<P> {
         for (slot, (ballot, value)) in &stable.accepted {
             e.u64(*slot).u64(*ballot).bytes(&value.to_bytes());
         }
-        let mut digests: Vec<u64> = stable.delivered_digests.iter().copied().collect();
-        digests.sort_unstable();
-        e.u64(digests.len() as u64);
-        for d in digests {
-            e.u64(d);
-        }
+        crate::common::encode_digests(&mut e, &stable.delivered_digests);
         e.u64(stable.decided.len() as u64);
         for (seq, payload, time) in &stable.decided {
             e.u64(*seq).bytes(&payload.to_bytes()).u64(*time);
@@ -362,11 +361,7 @@ impl<P: crate::common::PersistPayload> Durable for PaxosNode<P> {
             let value = P::from_bytes(d.bytes()?)?;
             accepted.insert(slot, (ballot, value));
         }
-        let n_digests = d.u64()? as usize;
-        let mut delivered_digests = HashSet::with_capacity(n_digests.min(1024));
-        for _ in 0..n_digests {
-            delivered_digests.insert(d.u64()?);
-        }
+        let delivered_digests = crate::common::decode_digests(&mut d)?;
         let n_decided = d.u64()? as usize;
         let mut decided = Vec::with_capacity(n_decided.min(1024));
         for _ in 0..n_decided {
@@ -388,7 +383,7 @@ impl<P: crate::common::PersistPayload> Durable for PaxosNode<P> {
         PaxosStable {
             promised: 0,
             accepted: BTreeMap::new(),
-            delivered_digests: HashSet::new(),
+            delivered_digests: FxHashSet::default(),
             decided: Vec::new(),
         }
     }
@@ -397,7 +392,37 @@ impl<P: crate::common::PersistPayload> Durable for PaxosNode<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbc_sim::actor::Effect;
     use pbc_sim::{Network, NetworkConfig};
+
+    /// Node 0 of three, handed two promises for its ballot that report
+    /// conflicting values for slot 0 at one accepted ballot (which only a
+    /// faulty acceptor can do), re-proposes the same value in every fresh
+    /// node: of equal ballots, the lowest sender's value (666, node 1).
+    #[test]
+    fn the_promise_merge_is_the_same_in_every_node() {
+        let reproposals = || {
+            let mut node = PaxosNode::<u64>::new(PaxosConfig::new(3), 0);
+            let mut accepts = Vec::new();
+            for (from, value) in [(2, 7), (1, 666)] {
+                let msg = PaxosMsg::Promise { ballot: 0, accepted: vec![(0, 0, value)] };
+                let mut ctx = Context::standalone(1, 0, 3);
+                node.on_message(from, &msg, &mut ctx);
+                for effect in ctx.take_effects() {
+                    if let Effect::Broadcast { msg: PaxosMsg::Accept { slot, value, .. } } = effect
+                    {
+                        accepts.push((slot, value));
+                    }
+                }
+            }
+            accepts
+        };
+        let first = reproposals();
+        assert_eq!(first, vec![(0, 666)]);
+        for _ in 1..20 {
+            assert_eq!(reproposals(), first);
+        }
+    }
 
     fn cluster(n: usize, seed: u64) -> Network<PaxosNode<u64>> {
         let cfg = PaxosConfig::new(n);

@@ -9,10 +9,11 @@
 //! the CFT-vs-BFT gap experiment E5 quantifies exactly that.
 
 use crate::common::{hooks, quorum, DecidedLog, Payload, Voters};
+use fxhash::{FxHashMap, FxHashSet};
 use pbc_sim::{Actor, Context, Durable, Message, NodeIdx, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Raft wire messages.
 #[derive(Clone, Debug)]
@@ -132,13 +133,17 @@ impl<P: Payload> LogEntry<P> {
 #[derive(Debug)]
 struct PendingRequests<P> {
     by_arrival: BTreeMap<u64, P>,
-    arrival_of: HashMap<u64, u64>,
+    arrival_of: FxHashMap<u64, u64>,
     next_arrival: u64,
 }
 
 impl<P> PendingRequests<P> {
     fn new() -> Self {
-        PendingRequests { by_arrival: BTreeMap::new(), arrival_of: HashMap::new(), next_arrival: 0 }
+        PendingRequests {
+            by_arrival: BTreeMap::new(),
+            arrival_of: Default::default(),
+            next_arrival: 0,
+        }
     }
 
     /// Buffers `payload` unless a request with this digest is waiting.
@@ -173,7 +178,7 @@ pub struct RaftNode<P> {
     role: Role,
     /// 1-indexed log; index 0 is a sentinel.
     log_entries: Vec<LogEntry<P>>,
-    log_digests: HashSet<u64>,
+    log_digests: FxHashSet<u64>,
     commit_index: u64,
     last_applied: u64,
     /// Leader state.
@@ -203,7 +208,7 @@ impl<P: Payload> RaftNode<P> {
             voted_for: None,
             role: Role::Follower,
             log_entries: Vec::new(),
-            log_digests: HashSet::new(),
+            log_digests: FxHashSet::default(),
             commit_index: 0,
             last_applied: 0,
             next_index: vec![1; cfg.n],

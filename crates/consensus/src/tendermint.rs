@@ -14,8 +14,9 @@
 //!    for safety across rounds.
 
 use crate::common::{hooks, DecidedLog, Payload, Voters};
+use fxhash::{FxHashMap, FxHashSet};
 use pbc_sim::{Actor, Context, Durable, Message, NodeIdx, SimTime};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Tendermint wire messages.
 #[derive(Clone, Debug)]
@@ -160,18 +161,18 @@ pub struct TendermintNode<P> {
     round: u64,
     schedule: ProposerSchedule,
     /// Proposals seen: (height, round) → payload.
-    proposals: HashMap<RoundKey, P>,
+    proposals: FxHashMap<RoundKey, P>,
     /// Payloads by digest (to deliver on decision).
-    by_digest: HashMap<u64, P>,
-    prevotes: HashMap<RoundKey, RoundVotes>,
-    precommits: HashMap<RoundKey, RoundVotes>,
+    by_digest: FxHashMap<u64, P>,
+    prevotes: FxHashMap<RoundKey, RoundVotes>,
+    precommits: FxHashMap<RoundKey, RoundVotes>,
     /// Locked value: (round locked at, digest).
     locked: Option<(u64, u64)>,
-    sent_prevote: HashSet<RoundKey>,
-    sent_precommit: HashSet<RoundKey>,
-    proposed: HashSet<RoundKey>,
+    sent_prevote: FxHashSet<RoundKey>,
+    sent_precommit: FxHashSet<RoundKey>,
+    proposed: FxHashSet<RoundKey>,
     pending: BTreeMap<u64, P>,
-    delivered_digests: HashSet<u64>,
+    delivered_digests: FxHashSet<u64>,
     /// The in-order decided log (seq = height - 1).
     pub log: DecidedLog<P>,
     /// Rounds beyond 0 entered (observability: rotation/timeout cost).
@@ -186,16 +187,16 @@ impl<P: Payload> TendermintNode<P> {
             height: 1,
             round: 0,
             schedule,
-            proposals: HashMap::new(),
-            by_digest: HashMap::new(),
-            prevotes: HashMap::new(),
-            precommits: HashMap::new(),
+            proposals: FxHashMap::default(),
+            by_digest: FxHashMap::default(),
+            prevotes: FxHashMap::default(),
+            precommits: FxHashMap::default(),
             locked: None,
-            sent_prevote: HashSet::new(),
-            sent_precommit: HashSet::new(),
-            proposed: HashSet::new(),
+            sent_prevote: FxHashSet::default(),
+            sent_precommit: FxHashSet::default(),
+            proposed: FxHashSet::default(),
             pending: BTreeMap::new(),
-            delivered_digests: HashSet::new(),
+            delivered_digests: FxHashSet::default(),
             log: DecidedLog::default(),
             extra_rounds: 0,
             cfg,
@@ -419,7 +420,7 @@ impl<P: Payload> Actor for TendermintNode<P> {
 pub struct TmStable<P> {
     height: u64,
     locked: Option<(u64, u64, P)>,
-    delivered_digests: HashSet<u64>,
+    delivered_digests: FxHashSet<u64>,
     decided: Vec<(u64, P, SimTime)>,
 }
 
@@ -463,12 +464,7 @@ impl<P: crate::common::PersistPayload> Durable for TendermintNode<P> {
                 e.tag(0);
             }
         }
-        let mut digests: Vec<u64> = stable.delivered_digests.iter().copied().collect();
-        digests.sort_unstable();
-        e.u64(digests.len() as u64);
-        for d in digests {
-            e.u64(d);
-        }
+        crate::common::encode_digests(&mut e, &stable.delivered_digests);
         e.u64(stable.decided.len() as u64);
         for (seq, payload, time) in &stable.decided {
             e.u64(*seq).bytes(&payload.to_bytes()).u64(*time);
@@ -489,11 +485,7 @@ impl<P: crate::common::PersistPayload> Durable for TendermintNode<P> {
             }
             _ => return None,
         };
-        let n_digests = d.u64()? as usize;
-        let mut delivered_digests = HashSet::with_capacity(n_digests.min(1024));
-        for _ in 0..n_digests {
-            delivered_digests.insert(d.u64()?);
-        }
+        let delivered_digests = crate::common::decode_digests(&mut d)?;
         let n_decided = d.u64()? as usize;
         let mut decided = Vec::with_capacity(n_decided.min(1024));
         for _ in 0..n_decided {
@@ -508,7 +500,7 @@ impl<P: crate::common::PersistPayload> Durable for TendermintNode<P> {
     }
 
     fn blank_stable(_crashed: &Self) -> TmStable<P> {
-        TmStable { height: 1, locked: None, delivered_digests: HashSet::new(), decided: Vec::new() }
+        TmStable { height: 1, locked: None, delivered_digests: Default::default(), decided: vec![] }
     }
 }
 
